@@ -440,22 +440,12 @@ def cmd_check_proof(args) -> int:
     from .circuit.cnf_convert import tseitin
     from .proof import ProofLog, check_drup
     circuit = _read_circuit(args.file)
-    log = ProofLog()
     with open(args.proof) as fh:
-        for line in fh:
-            tokens = line.split()
-            if not tokens:
-                continue
-            delete = tokens[0] == "d"
-            if delete:
-                tokens = tokens[1:]
-            lits = [int(t) for t in tokens]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            if delete:
-                log.delete(lits)
-            else:
-                log.add(lits)
+        text = fh.read()
+    try:
+        log = ProofLog.from_text(text)
+    except ValueError as exc:
+        raise ParseError("{}: {}".format(args.proof, exc)) from None
     formula, _ = tseitin(circuit, objectives=list(circuit.outputs))
     verdict = check_drup(formula, log)
     if verdict.ok:

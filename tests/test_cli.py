@@ -148,6 +148,34 @@ class TestProofWorkflow:
         assert rc == 1
         assert "REJECTED" in capsys.readouterr().out
 
+    def test_check_proof_skips_comment_lines(self, tmp_path, capsys):
+        from repro.gen.iscas import equiv_miter
+        from repro.circuit.bench_io import write_bench
+        bench = tmp_path / "m.bench"
+        bench.write_text(write_bench(equiv_miter("c432")))
+        drup = tmp_path / "m.drup"
+        assert main(["solve", str(bench), "--preset", "explicit",
+                     "--proof", str(drup)]) == 20
+        drup.write_text("c written by hand\n" + drup.read_text()
+                        + "c end of proof\n")
+        capsys.readouterr()
+        assert main(["check-proof", str(bench), str(drup)]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["1 two 0\n", "5 0\n1 2\n"])
+    def test_check_proof_malformed_exits_2(self, tmp_path, capsys, text):
+        from repro.circuit.bench_io import write_bench
+        from conftest import build_full_adder
+        bench = tmp_path / "fa.bench"
+        bench.write_text(write_bench(build_full_adder()))
+        drup = tmp_path / "bad.drup"
+        drup.write_text(text)
+        assert main(["check-proof", str(bench), str(drup)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestAigerCli:
     def test_solve_aag_file(self, tmp_path):
