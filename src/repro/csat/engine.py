@@ -7,7 +7,7 @@ This is the solver substrate of the paper's Section IV-A:
   pin values (0/1/X), exactly the "lookup tables for fast implications on the
   AND primitive" the paper borrows from Ganai et al.
 * **Learned gates.**  Conflict analysis (first UIP) produces clauses over
-  circuit signals, stored with two explicitly tracked watched literals.
+  circuit signals, watched on their first two literals.
 * **J-node decisions.**  In C-SAT-Jnode mode, decision candidates are the
   inputs of justification-frontier gates (an AND with output 0 and both
   inputs unassigned) plus — crucially, per the paper — the signals of learned
@@ -43,7 +43,8 @@ def _dimacs(lit: int) -> int:
     var = (lit >> 1) + 1
     return -var if (lit & 1) else var
 
-# Gate-evaluation actions (see _build_action_table).
+# Gate-evaluation actions (see _build_action_table).  The implications are
+# numbered first: _propagate tests them as ``act < _A_CONFL_GA``.
 _A_NONE = 0
 _A_IMPLY_G0_A = 1   # output := 0 because fanin0 is 0
 _A_IMPLY_G0_B = 2   # output := 0 because fanin1 is 0
@@ -101,6 +102,16 @@ def _build_action_table() -> List[int]:
 _ACTION_TABLE = _build_action_table()
 
 
+def _take_copy(heap: List, counts: Dict, entry) -> None:
+    """Consume one copy of ``entry``, the top of ``heap``."""
+    copies = counts[entry]
+    if copies == 1:
+        heappop(heap)
+        del counts[entry]
+    else:
+        counts[entry] = copies - 1
+
+
 class CSatEngine:
     """Low-level circuit CDCL search over one :class:`Circuit`.
 
@@ -130,6 +141,9 @@ class CSatEngine:
         # modelled as AND(FALSE, TRUE).  The J-frontier logic assumes two
         # distinct pins, which the rewrite restores.
         self.fanout_gates: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        # BCP visit list of each node: its own gate, then its fanout gates.
+        self.visit: List[List[int]] = [[x] if self.is_and[x] else []
+                                       for x in range(n)]
         for g in range(n):
             if self.is_and[g]:
                 f0, f1 = self.fan0[g], self.fan1[g]
@@ -141,8 +155,10 @@ class CSatEngine:
                         self.fan1[g] = 1
                     f0, f1 = self.fan0[g], self.fan1[g]
                 self.fanout_gates[f0 >> 1].append((g, f0))
+                self.visit[f0 >> 1].append(g)
                 if (f1 >> 1) != (f0 >> 1):
                     self.fanout_gates[f1 >> 1].append((g, f1))
+                    self.visit[f1 >> 1].append(g)
 
         self.frame = Frame(n)
         # The constant node is permanently 0 (level 0, no reason); its trail
@@ -155,20 +171,23 @@ class CSatEngine:
         self.clauses: List[Optional[List[int]]] = []
         self.learnt_idx: List[int] = []
         self.clause_activity: Dict[int, float] = {}
+        # watches[lit]: clauses watching ``lit``; the watched pair of a
+        # clause is always its first two literals.
         self.watches: List[List[int]] = [[] for _ in range(2 * n)]
-        # Explicit watched-literal pointers per clause (paper Section IV-A:
-        # "pointers to the two watched literals are explicitly stored").
-        self.watch_ptrs: Dict[int, Tuple[int, int]] = {}
 
         # VSIDS.
         self.activity: List[float] = [0.0] * (2 * n)
         self.var_inc = 1.0
         self.cla_inc = 1.0
+        # Candidate heaps of (-activity, lit) entries.  Each distinct entry
+        # is stored once; its count says how many copies were pushed.
         self.heap: List = []      # global heap (plain C-SAT decisions)
+        self.heap_count: Dict[Tuple[float, int], int] = {}
         self.jheap: List = []     # J-node candidate heap (C-SAT-Jnode)
+        self.jheap_count: Dict[Tuple[float, int], int] = {}
         if not options.use_jnode:
-            for lit in range(2, 2 * n):
-                heappush(self.heap, (0.0, lit))
+            self.heap = [(0.0, lit) for lit in range(2, 2 * n)]
+            self.heap_count = dict.fromkeys(self.heap, 1)
         self.in_learned = [False] * n
 
         # Correlation state (implicit learning).  Array-indexed for speed:
@@ -252,8 +271,7 @@ class CSatEngine:
         values = frame.values
         reasons = frame.reasons
         use_jnode = self.options.use_jnode
-        jheap = self.jheap
-        heap = self.heap
+        heap, counts = self._candidate_heap()
         activity = self.activity
         in_learned = self.in_learned
         fanout_gates = self.fanout_gates
@@ -261,17 +279,24 @@ class CSatEngine:
             node = lit >> 1
             values[node] = UNASSIGNED
             reasons[node] = NO_REASON
+            # Global mode re-pushes both phases of every node.  J-node mode
+            # does so for learned-gate signals, and pushes, for each
+            # re-exposed J-node, the phase that would justify it.
+            if not use_jnode or in_learned[node]:
+                for cand in (2 * node, 2 * node + 1):
+                    entry = (-activity[cand], cand)
+                    copies = counts.get(entry, 0)
+                    counts[entry] = copies + 1
+                    if not copies:
+                        heappush(heap, entry)
             if use_jnode:
-                if in_learned[node]:
-                    heappush(jheap, (-activity[2 * node], 2 * node))
-                    heappush(jheap, (-activity[2 * node + 1], 2 * node + 1))
                 for g, pin in fanout_gates[node]:
                     if values[g] == 0:
-                        # Re-exposed J-node: push the justifying phase.
-                        heappush(jheap, (-activity[pin ^ 1], pin ^ 1))
-            else:
-                heappush(heap, (-activity[2 * node], 2 * node))
-                heappush(heap, (-activity[2 * node + 1], 2 * node + 1))
+                        entry = (-activity[pin ^ 1], pin ^ 1)
+                        copies = counts.get(entry, 0)
+                        counts[entry] = copies + 1
+                        if not copies:
+                            heappush(heap, entry)
         del frame.trail[split:]
         del frame.trail_lim[target_level:]
         frame.qhead = len(frame.trail)
@@ -281,148 +306,174 @@ class CSatEngine:
     # ------------------------------------------------------------------
 
     def _propagate(self) -> Optional[List[int]]:
-        """Propagate to fixpoint; returns conflict literals (false-form) or None."""
+        """Propagate to fixpoint; returns conflict literals (false-form) or None.
+
+        Gate and learned-clause implications inline :meth:`_assign`: all
+        of them land at the current level and carry a reason, so each one
+        runs the implicit-learning partner hook.  The effort counters are
+        kept in locals and added to ``stats`` on exit.
+        """
         frame = self.frame
         values = frame.values
+        levels = frame.levels
+        reasons = frame.reasons
+        trail_pos = frame.trail_pos
         trail = frame.trail
+        level = len(frame.trail_lim)
         fan0, fan1 = self.fan0, self.fan1
-        is_and = self.is_and
-        fanout_gates = self.fanout_gates
+        visit = self.visit
         table = _ACTION_TABLE
         watches = self.watches
         clauses = self.clauses
-        jheap = self.jheap
         use_jnode = self.options.use_jnode
+        jheap, jcount = self.jheap, self.jheap_count
         activity = self.activity
-        stats = self.stats
+        partner = self.partner if self.options.implicit_learning else None
+        pending = self.pending_correlated
+        qhead = start = frame.qhead
+        implied = 0
+        conflict = None
+        try:
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                node = p >> 1
 
-        while frame.qhead < len(trail):
-            p = trail[frame.qhead]
-            frame.qhead += 1
-            stats.propagations += 1
-            node = p >> 1
-
-            # --- learned-clause watches (identical scheme to the CNF solver)
-            false_lit = p ^ 1
-            ws = watches[false_lit]
-            if ws:
-                i = j = 0
-                n_ws = len(ws)
-                while i < n_ws:
-                    ci = ws[i]
-                    i += 1
-                    clause = clauses[ci]
-                    if clause is None:
-                        continue
-                    if clause[0] == false_lit:
-                        clause[0] = clause[1]
-                        clause[1] = false_lit
-                    first = clause[0]
-                    fv = values[first >> 1]
-                    if fv >= 0 and (fv ^ (first & 1)) == 1:
+                # --- learned-clause watches (same scheme as the CNF solver)
+                false_lit = p ^ 1
+                ws = watches[false_lit]
+                if ws:
+                    i = j = 0
+                    n_ws = len(ws)
+                    while i < n_ws:
+                        ci = ws[i]
+                        i += 1
+                        clause = clauses[ci]
+                        if clause is None:
+                            continue
+                        if clause[0] == false_lit:
+                            clause[0] = clause[1]
+                            clause[1] = false_lit
+                        first = clause[0]
+                        fv = values[first >> 1]
+                        if fv >= 0 and (fv ^ (first & 1)) == 1:
+                            ws[j] = ci
+                            j += 1
+                            continue
+                        moved = False
+                        for k in range(2, len(clause)):
+                            lk = clause[k]
+                            kv = values[lk >> 1]
+                            if kv < 0 or (kv ^ (lk & 1)) == 1:
+                                clause[1] = lk
+                                clause[k] = false_lit
+                                watches[lk].append(ci)
+                                moved = True
+                                break
+                        if moved:
+                            continue
                         ws[j] = ci
                         j += 1
-                        continue
-                    moved = False
-                    for k in range(2, len(clause)):
-                        lk = clause[k]
-                        kv = values[lk >> 1]
-                        if kv < 0 or (kv ^ (lk & 1)) == 1:
-                            clause[1] = lk
-                            clause[k] = false_lit
-                            watches[lk].append(ci)
-                            self.watch_ptrs[ci] = (clause[0], lk)
-                            moved = True
-                            break
-                    if moved:
-                        continue
-                    ws[j] = ci
-                    j += 1
-                    if fv >= 0:  # conflict: every literal false
-                        while i < n_ws:
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
-                        del ws[j:]
-                        frame.qhead = len(trail)
-                        return list(clause)
-                    self._assign(first >> 1, 1 - (first & 1), 2 * ci + 1)
-                del ws[j:]
+                        if fv >= 0:  # conflict: every literal false
+                            while i < n_ws:
+                                ws[j] = ws[i]
+                                j += 1
+                                i += 1
+                            del ws[j:]
+                            conflict = list(clause)
+                            return conflict
+                        x = first >> 1
+                        v = 1 - (first & 1)
+                        values[x] = v
+                        levels[x] = level
+                        reasons[x] = 2 * ci + 1
+                        trail_pos[x] = len(trail)
+                        trail.append(first)
+                        if partner is not None:
+                            corr = partner[x]
+                            if corr is not None and values[corr[0]] < 0:
+                                pending.append((corr[0],
+                                                v if corr[1] else 1 - v, x))
+                    del ws[j:]
 
-            # --- gate implications via the lookup table
-            gate_list = fanout_gates[node]
-            own = node if is_and[node] else -1
-            idx = -1
-            while True:
-                if idx < 0:
-                    g = own
-                    idx = 0
-                    if g < 0:
-                        if not gate_list:
-                            break
-                        g, _pin = gate_list[0]
-                        idx = 1
-                else:
-                    if idx >= len(gate_list):
-                        break
-                    g, _pin = gate_list[idx]
-                    idx += 1
-                f0 = fan0[g]
-                f1 = fan1[g]
-                a = f0 >> 1
-                b = f1 >> 1
-                va = values[a]
-                vb = values[b]
-                vg = values[g]
-                la = (va ^ (f0 & 1)) if va >= 0 else 2
-                lb = (vb ^ (f1 & 1)) if vb >= 0 else 2
-                lg = vg if vg >= 0 else 2
-                act = table[la * 9 + lb * 3 + lg]
-                if act == _A_NONE:
-                    continue
-                if act == _A_IMPLY_G0_A or act == _A_IMPLY_G0_B:
-                    stats.implications += 1
-                    self._assign(g, 0, 2 * g)
-                elif act == _A_IMPLY_G1:
-                    stats.implications += 1
-                    self._assign(g, 1, 2 * g)
-                elif act == _A_IMPLY_A1:
-                    stats.implications += 1
-                    self._assign(a, 1 ^ (f0 & 1), 2 * g)
-                elif act == _A_IMPLY_B1:
-                    stats.implications += 1
-                    self._assign(b, 1 ^ (f1 & 1), 2 * g)
-                elif act == _A_IMPLY_AB1:
-                    stats.implications += 1
-                    self._assign(a, 1 ^ (f0 & 1), 2 * g)
-                    vb2 = values[b]
-                    if vb2 < 0:
-                        stats.implications += 1
-                        self._assign(b, 1 ^ (f1 & 1), 2 * g)
-                    elif (vb2 ^ (f1 & 1)) == 0:  # a == b degenerate case
-                        frame.qhead = len(trail)
-                        return [2 * g + values[g], 2 * b + vb2]
-                elif act == _A_IMPLY_A0:
-                    stats.implications += 1
-                    self._assign(a, 0 ^ (f0 & 1), 2 * g)
-                elif act == _A_IMPLY_B0:
-                    stats.implications += 1
-                    self._assign(b, 0 ^ (f1 & 1), 2 * g)
-                elif act == _A_JNODE:
-                    if use_jnode:
-                        heappush(jheap, (-activity[f0 ^ 1], f0 ^ 1))
-                        heappush(jheap, (-activity[f1 ^ 1], f1 ^ 1))
-                elif act == _A_CONFL_GA:
-                    frame.qhead = len(trail)
-                    return [2 * g + values[g], 2 * a + values[a]]
-                elif act == _A_CONFL_GB:
-                    frame.qhead = len(trail)
-                    return [2 * g + values[g], 2 * b + values[b]]
-                else:  # _A_CONFL_GAB
-                    frame.qhead = len(trail)
-                    return [2 * g + values[g], 2 * a + values[a],
-                            2 * b + values[b]]
-        return None
+                # --- gate implications via the lookup table
+                for g in visit[node]:
+                    f0 = fan0[g]
+                    f1 = fan1[g]
+                    a = f0 >> 1
+                    b = f1 >> 1
+                    va = values[a]
+                    vb = values[b]
+                    vg = values[g]
+                    la = (va ^ (f0 & 1)) if va >= 0 else 2
+                    lb = (vb ^ (f1 & 1)) if vb >= 0 else 2
+                    lg = vg if vg >= 0 else 2
+                    act = table[la * 9 + lb * 3 + lg]
+                    if act == _A_NONE:
+                        continue
+                    if act < _A_CONFL_GA:  # an _A_IMPLY_* action
+                        if act == _A_IMPLY_G0_A or act == _A_IMPLY_G0_B:
+                            x = g
+                            v = 0
+                        elif act == _A_IMPLY_G1:
+                            x = g
+                            v = 1
+                        elif act == _A_IMPLY_A1 or act == _A_IMPLY_AB1:
+                            x = a
+                            v = 1 ^ (f0 & 1)
+                        elif act == _A_IMPLY_B1:
+                            x = b
+                            v = 1 ^ (f1 & 1)
+                        elif act == _A_IMPLY_A0:
+                            x = a
+                            v = f0 & 1
+                        else:  # _A_IMPLY_B0
+                            x = b
+                            v = f1 & 1
+                        implied += 1
+                        values[x] = v
+                        levels[x] = level
+                        reasons[x] = 2 * g
+                        trail_pos[x] = len(trail)
+                        trail.append(2 * x + 1 - v)
+                        if partner is not None:
+                            corr = partner[x]
+                            if corr is not None and values[corr[0]] < 0:
+                                pending.append((corr[0],
+                                                v if corr[1] else 1 - v, x))
+                        if act == _A_IMPLY_AB1:
+                            # The second pin; rare enough to take the call.
+                            vb2 = values[b]
+                            if vb2 < 0:
+                                implied += 1
+                                self._assign(b, 1 ^ (f1 & 1), 2 * g)
+                            elif (vb2 ^ (f1 & 1)) == 0:  # a == b degenerate
+                                conflict = [2 * g + values[g], 2 * b + vb2]
+                                return conflict
+                    elif act == _A_JNODE:
+                        if use_jnode:
+                            for cand in (f0 ^ 1, f1 ^ 1):
+                                entry = (-activity[cand], cand)
+                                copies = jcount.get(entry, 0)
+                                jcount[entry] = copies + 1
+                                if not copies:
+                                    heappush(jheap, entry)
+                    elif act == _A_CONFL_GA:
+                        conflict = [2 * g + vg, 2 * a + va]
+                        return conflict
+                    elif act == _A_CONFL_GB:
+                        conflict = [2 * g + vg, 2 * b + vb]
+                        return conflict
+                    else:  # _A_CONFL_GAB
+                        conflict = [2 * g + vg, 2 * a + va, 2 * b + vb]
+                        return conflict
+            return None
+        finally:
+            # A conflict abandons the rest of the queue.
+            frame.qhead = qhead if conflict is None else len(trail)
+            stats = self.stats
+            stats.propagations += qhead - start
+            stats.implications += implied
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP over gates + learned clauses)
@@ -498,29 +549,45 @@ class CSatEngine:
         return [a for a in assume
                 if (a >> 1) in core_nodes or a == must_include]
 
+    def _candidate_heap(self) -> Tuple[List, Dict[Tuple[float, int], int]]:
+        """The decision heap in use and its copy counts."""
+        if self.options.use_jnode:
+            return self.jheap, self.jheap_count
+        return self.heap, self.heap_count
+
+    def _push_candidate(self, lit: int) -> None:
+        """Push one copy of ``lit`` at its current activity."""
+        heap, counts = self._candidate_heap()
+        entry = (-self.activity[lit], lit)
+        copies = counts.get(entry, 0)
+        counts[entry] = copies + 1
+        if not copies:
+            heappush(heap, entry)
+
     def _bump(self, lit: int) -> None:
         act = self.activity[lit] + self.var_inc
         self.activity[lit] = act
         if act > 1e100:
             self._rescale_activity()
-            return
         # Keep the active heap fresh (lazy deletion handles stale entries).
-        if self.options.use_jnode:
-            heappush(self.jheap, (-act, lit))
-        else:
-            heappush(self.heap, (-act, lit))
+        self._push_candidate(lit)
 
     def _rescale_activity(self) -> None:
-        self.activity = [a * 1e-100 for a in self.activity]
-        self.var_inc *= 1e-100
-        # Heap priorities are stale after rescaling; rebuild lazily by
-        # clearing — candidates are re-pushed on backtrack/frontier events,
-        # and the decision fallback handles an empty global heap.
-        if not self.options.use_jnode:
-            self.heap = [(-self.activity[lit], lit)
-                         for lit in range(2, 2 * self.num_nodes)
-                         if self.frame.values[lit >> 1] < 0]
-            heapify(self.heap)
+        scale = 1e-100
+        self.activity = [a * scale for a in self.activity]
+        self.var_inc *= scale
+        # Scale every heap key by the same factor, so old entries keep
+        # their rank against fresh pushes.  Underflow can merge entries
+        # and tie keys, so merge the counts and re-heapify.
+        heap, counts = self._candidate_heap()
+        scaled: Dict[Tuple[float, int], int] = {}
+        for (neg_act, lit), copies in counts.items():
+            entry = (neg_act * scale, lit)
+            scaled[entry] = scaled.get(entry, 0) + copies
+        counts.clear()
+        counts.update(scaled)
+        heap[:] = scaled
+        heapify(heap)
 
     def _analyze(self, conflict: List[int]) -> Tuple[List[int], int]:
         frame = self.frame
@@ -596,7 +663,6 @@ class CSatEngine:
         self.clauses.append(list(lits))
         self.watches[lits[0]].append(ci)
         self.watches[lits[1]].append(ci)
-        self.watch_ptrs[ci] = (lits[0], lits[1])
         self.learnt_idx.append(ci)
         self.clause_activity[ci] = self.cla_inc
         self.stats.learned_clauses += 1
@@ -605,14 +671,12 @@ class CSatEngine:
             self.tracer.emit("learn", size=len(lits),
                              level=len(self.frame.trail_lim))
         if self.options.use_jnode and self.options.jnode_learned:
-            jheap = self.jheap
-            activity = self.activity
             values = self.frame.values
             for lit in lits:
                 node = lit >> 1
                 self.in_learned[node] = True
                 if values[node] < 0:
-                    heappush(jheap, (-activity[lit], lit))
+                    self._push_candidate(lit)
         return ci
 
     def _record_learnt(self, learnt: List[int], bt_level: int) -> None:
@@ -648,7 +712,6 @@ class CSatEngine:
                 self.proof.delete([_dimacs(l) for l in clause])
             self.clauses[ci] = None
             del self.clause_activity[ci]
-            self.watch_ptrs.pop(ci, None)
             self.stats.deleted_clauses += 1
         self.learnt_idx = kept
         if self.tracer is not None:
@@ -675,26 +738,39 @@ class CSatEngine:
                 return True
         return False
 
+    # Both pickers peek at the heap top.  An entry that fails the test is
+    # dropped with all its copies; one that passes gives up one copy.  The
+    # assignment does not change during a pick, so this returns the same
+    # literal as popping every copy one by one from a heap with duplicates.
+
     def _pick_jnode_decision(self) -> Optional[int]:
         values = self.frame.values
-        jheap = self.jheap
+        jheap, counts = self.jheap, self.jheap_count
         in_learned = self.in_learned
         while jheap:
-            neg_act, lit = heappop(jheap)
+            entry = jheap[0]
+            lit = entry[1]
             node = lit >> 1
-            if values[node] >= 0:
-                continue
-            if in_learned[node] or self._is_jinput(node):
+            if values[node] < 0 and (in_learned[node]
+                                     or self._is_jinput(node)):
+                _take_copy(jheap, counts, entry)
                 return lit
+            heappop(jheap)
+            del counts[entry]
         return None
 
     def _pick_global_decision(self) -> Optional[int]:
         values = self.frame.values
-        heap = self.heap
+        activity = self.activity
+        heap, counts = self.heap, self.heap_count
         while heap:
-            neg_act, lit = heappop(heap)
-            if values[lit >> 1] < 0 and -neg_act == self.activity[lit]:
+            entry = heap[0]
+            lit = entry[1]
+            if values[lit >> 1] < 0 and -entry[0] == activity[lit]:
+                _take_copy(heap, counts, entry)
                 return lit
+            heappop(heap)
+            del counts[entry]
         for node in range(1, self.num_nodes):
             if values[node] < 0:
                 return 2 * node

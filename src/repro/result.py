@@ -46,13 +46,11 @@ class SolverStats:
         silently dropped — only genuinely max-like fields need registering
         in ``_MAX_FIELDS``.
         """
-        for f in fields(self):
-            if f.name in self._MAX_FIELDS:
-                setattr(self, f.name, max(getattr(self, f.name),
-                                          getattr(other, f.name)))
-            else:
-                setattr(self, f.name, getattr(self, f.name)
-                        + getattr(other, f.name))
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _SUMMED_FIELDS:
+            mine[name] += theirs[name]
+        for name in self._MAX_FIELDS:
+            mine[name] = max(mine[name], theirs[name])
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -62,14 +60,17 @@ class SolverStats:
 
     def delta_since(self, before: "SolverStats") -> "SolverStats":
         """Counters accumulated since ``before`` (a prior copy of self)."""
-        d = SolverStats()
-        for f in fields(self):
-            if f.name in self._MAX_FIELDS:
-                setattr(d, f.name, getattr(self, f.name))
-            else:
-                setattr(d, f.name,
-                        getattr(self, f.name) - getattr(before, f.name))
-        return d
+        mine, old = self.__dict__, before.__dict__
+        delta = {name: mine[name] - old[name] for name in _SUMMED_FIELDS}
+        for name in self._MAX_FIELDS:
+            delta[name] = mine[name]
+        return SolverStats(**delta)
+
+
+#: The summed counters of :class:`SolverStats`, derived once from its
+#: dataclass fields (``merge`` and ``delta_since`` run once per solve).
+_SUMMED_FIELDS = tuple(f.name for f in fields(SolverStats)
+                       if f.name not in SolverStats._MAX_FIELDS)
 
 
 @dataclass

@@ -1,9 +1,14 @@
 """Unit tests for the circuit CDCL engine (C-SAT core)."""
 
+import random
+from collections import Counter
+from heapq import heappop, heappush
+
 import pytest
 
 from repro import Circuit, Limits, SAT, SolverError, UNKNOWN, UNSAT
 from repro.csat.engine import CSatEngine, _ACTION_TABLE, _build_action_table
+from repro.csat.frame import UNASSIGNED
 from repro.csat.options import SolverOptions
 from conftest import build_full_adder, build_random_circuit
 
@@ -178,17 +183,24 @@ class TestLearnedClauses:
         assert not engine.ok
         assert engine.solve().status == UNSAT
 
-    def test_explicit_watch_pointers_tracked(self):
-        c = build_random_circuit(3, num_inputs=5, num_gates=40)
-        engine = make_engine(c)
-        r = engine.solve(assumptions=list(c.outputs))
-        for ci in engine.learnt_idx:
+    def test_learned_clauses_watched_on_first_two_literals(self):
+        # The watched pair of a learned clause is clause[0]/clause[1]:
+        # each live clause sits in exactly those two watch lists, once.
+        from repro.gen.iscas import equiv_miter
+        m = equiv_miter("c432")
+        engine = make_engine(m, use_jnode=True, learnt_limit_base=20)
+        r = engine.solve(assumptions=list(m.outputs))
+        assert r.status == UNSAT
+        assert r.stats.deleted_clauses > 0  # reduce_db ran
+        live = [ci for ci in engine.learnt_idx
+                if engine.clauses[ci] is not None]
+        assert len(live) > 10
+        for ci in live:
             clause = engine.clauses[ci]
-            if clause is None:
-                continue
-            w0, w1 = engine.watch_ptrs[ci]
-            assert w0 in clause and w1 in clause
-            assert clause[0] == w0 or clause[1] == w0 or clause[0] == w1
+            assert len(clause) >= 2
+            watched_by = [lit for lit, ws in enumerate(engine.watches)
+                          for _ in range(ws.count(ci))]
+            assert sorted(watched_by) == sorted(clause[:2])
 
     def test_max_learned_aborts(self):
         # An engine on a hard-ish circuit stops after N learned gates.
@@ -198,6 +210,98 @@ class TestLearnedClauses:
         assert r.status in (SAT, UNSAT, UNKNOWN)
         if r.status == UNKNOWN:
             assert r.stats.learned_clauses >= 1
+
+
+def _plain_pick(engine, plain):
+    """The pick over a plain heap with duplicate entries: pop until an
+    entry passes the mode's validity test."""
+    values = engine.frame.values
+    while plain:
+        neg_act, lit = heappop(plain)
+        node = lit >> 1
+        if values[node] >= 0:
+            continue
+        if engine.options.use_jnode:
+            if engine.in_learned[node] or engine._is_jinput(node):
+                return lit
+        elif -neg_act == engine.activity[lit]:
+            return lit
+    if engine.options.use_jnode:
+        return None
+    return next((2 * node for node in range(1, engine.num_nodes)
+                 if values[node] < 0), None)
+
+
+class TestCandidateHeaps:
+    @pytest.mark.parametrize("use_jnode", [True, False])
+    def test_counted_pick_matches_plain_heap(self, use_jnode):
+        # Random pushes (few distinct activities, so many duplicates and
+        # stale keys), assignment changes and picks: the counted heap
+        # holds the same multiset as a plain heap with duplicates, and
+        # returns the same literal on every pick.
+        rng = random.Random(20261017 + use_jnode)
+        c = build_random_circuit(5, num_inputs=8, num_gates=60)
+        engine = make_engine(c, use_jnode=use_jnode)
+        heap, counts = engine._candidate_heap()
+        plain = list(heap)
+        pick = (engine._pick_jnode_decision if use_jnode
+                else engine._pick_global_decision)
+        values = engine.frame.values
+        n = engine.num_nodes
+        picks = 0
+        for _ in range(4000):
+            r = rng.random()
+            if r < 0.55:
+                lit = rng.randrange(2, 2 * n)
+                if rng.random() < 0.3:
+                    engine.activity[lit] = float(rng.randrange(4))
+                engine._push_candidate(lit)
+                heappush(plain, (-engine.activity[lit], lit))
+            elif r < 0.8:
+                node = rng.randrange(1, n)
+                values[node] = rng.choice((UNASSIGNED, 0, 1))
+                engine.in_learned[node] = rng.random() < 0.2
+            else:
+                expected = _plain_pick(engine, plain)
+                assert pick() == expected
+                picks += expected is not None
+            assert Counter(plain) == Counter(counts)
+            assert sorted(heap) == sorted(counts)
+        assert picks > 100
+
+    def test_rescale_scales_jheap_keys(self):
+        # With a fast decay the first activity rescale comes at conflict
+        # 333.  Every J-heap key must be scaled with the activities, or
+        # stale keys above 1e50 would outrank every fresh hint.
+        from repro.gen.iscas import equiv_miter
+        m = equiv_miter("c1355")
+        engine = make_engine(m, use_jnode=True, var_decay=0.5)
+        rescale = engine._rescale_activity
+        tops = []
+
+        def checked_rescale():
+            rescale()
+            top = max(engine.activity)
+            assert all(-neg_act <= top for neg_act, _ in engine.jheap)
+            heap = engine.jheap
+            assert sorted(heap) == sorted(engine.jheap_count)
+            assert all(heap[(k - 1) // 2] <= heap[k]
+                       for k in range(1, len(heap)))
+            tops.append(top)
+
+        engine._rescale_activity = checked_rescale
+        engine.solve(assumptions=list(m.outputs),
+                     limits=Limits(max_conflicts=1000))
+        assert len(tops) >= 2
+
+    def test_bump_pushes_after_rescale(self):
+        c = build_random_circuit(3)
+        engine = make_engine(c, use_jnode=True)
+        lit = 5
+        engine.activity[lit] = 2e100
+        engine._bump(lit)
+        assert engine.activity[lit] < 1e100
+        assert engine.jheap_count[(-engine.activity[lit], lit)] == 1
 
 
 class TestLimits:
