@@ -102,16 +102,6 @@ def _build_action_table() -> List[int]:
 _ACTION_TABLE = _build_action_table()
 
 
-def _take_copy(heap: List, counts: Dict, entry) -> None:
-    """Consume one copy of ``entry``, the top of ``heap``."""
-    copies = counts[entry]
-    if copies == 1:
-        heappop(heap)
-        del counts[entry]
-    else:
-        counts[entry] = copies - 1
-
-
 class CSatEngine:
     """Low-level circuit CDCL search over one :class:`Circuit`.
 
@@ -161,9 +151,15 @@ class CSatEngine:
                     self.visit[f1 >> 1].append(g)
 
         self.frame = Frame(n)
+        # lv[lit]: the value of literal ``lit`` (1 true, 0 false, 2
+        # unassigned), kept in step with frame.values.  BCP reads it, so
+        # the gate table and clause watches need no per-pin arithmetic.
+        self.lv = [2] * (2 * n)
         # The constant node is permanently 0 (level 0, no reason); its trail
         # entry is propagated so gates reading it are implied at level 0.
         self.frame.values[0] = 0
+        self.lv[0] = 0
+        self.lv[1] = 1
         self.frame.trail.append(1)  # literal "node0 = 0" is true
         self.frame.qhead = 0
 
@@ -180,14 +176,17 @@ class CSatEngine:
         self.var_inc = 1.0
         self.cla_inc = 1.0
         # Candidate heaps of (-activity, lit) entries.  Each distinct entry
-        # is stored once; its count says how many copies were pushed.
+        # is stored once; its count says how many copies were pushed.  The
+        # count of ``lit``'s entry at its current activity is cur[lit]; the
+        # dicts count only entries left at older activities.
         self.heap: List = []      # global heap (plain C-SAT decisions)
         self.heap_count: Dict[Tuple[float, int], int] = {}
         self.jheap: List = []     # J-node candidate heap (C-SAT-Jnode)
         self.jheap_count: Dict[Tuple[float, int], int] = {}
+        self.cur = [0] * (2 * n)
         if not options.use_jnode:
             self.heap = [(0.0, lit) for lit in range(2, 2 * n)]
-            self.heap_count = dict.fromkeys(self.heap, 1)
+            self.cur[2:] = [1] * (2 * n - 2)
         self.in_learned = [False] * n
 
         # Correlation state (implicit learning).  Array-indexed for speed:
@@ -251,10 +250,13 @@ class CSatEngine:
     def _assign(self, node: int, value: int, reason: int) -> None:
         frame = self.frame
         frame.values[node] = value
+        lit = 2 * node + (1 - value)
+        self.lv[lit] = 1
+        self.lv[lit ^ 1] = 0
         frame.levels[node] = len(frame.trail_lim)
         frame.reasons[node] = reason
         frame.trail_pos[node] = len(frame.trail)
-        frame.trail.append(2 * node + (1 - value))
+        frame.trail.append(lit)
         if reason != NO_REASON and self.options.implicit_learning:
             corr = self.partner[node]
             if corr is not None:
@@ -270,8 +272,10 @@ class CSatEngine:
         split = frame.trail_lim[target_level]
         values = frame.values
         reasons = frame.reasons
+        lv = self.lv
         use_jnode = self.options.use_jnode
-        heap, counts = self._candidate_heap()
+        heap = self._candidate_heap()[0]
+        cur = self.cur
         activity = self.activity
         in_learned = self.in_learned
         fanout_gates = self.fanout_gates
@@ -279,24 +283,25 @@ class CSatEngine:
             node = lit >> 1
             values[node] = UNASSIGNED
             reasons[node] = NO_REASON
+            lv[lit] = 2
+            lv[lit ^ 1] = 2
             # Global mode re-pushes both phases of every node.  J-node mode
             # does so for learned-gate signals, and pushes, for each
             # re-exposed J-node, the phase that would justify it.
             if not use_jnode or in_learned[node]:
                 for cand in (2 * node, 2 * node + 1):
-                    entry = (-activity[cand], cand)
-                    copies = counts.get(entry, 0)
-                    counts[entry] = copies + 1
+                    copies = cur[cand]
+                    cur[cand] = copies + 1
                     if not copies:
-                        heappush(heap, entry)
+                        heappush(heap, (-activity[cand], cand))
             if use_jnode:
                 for g, pin in fanout_gates[node]:
                     if values[g] == 0:
-                        entry = (-activity[pin ^ 1], pin ^ 1)
-                        copies = counts.get(entry, 0)
-                        counts[entry] = copies + 1
+                        cand = pin ^ 1
+                        copies = cur[cand]
+                        cur[cand] = copies + 1
                         if not copies:
-                            heappush(heap, entry)
+                            heappush(heap, (-activity[cand], cand))
         del frame.trail[split:]
         del frame.trail_lim[target_level:]
         frame.qhead = len(frame.trail)
@@ -319,6 +324,7 @@ class CSatEngine:
         reasons = frame.reasons
         trail_pos = frame.trail_pos
         trail = frame.trail
+        lv = self.lv
         level = len(frame.trail_lim)
         fan0, fan1 = self.fan0, self.fan1
         visit = self.visit
@@ -326,7 +332,7 @@ class CSatEngine:
         watches = self.watches
         clauses = self.clauses
         use_jnode = self.options.use_jnode
-        jheap, jcount = self.jheap, self.jheap_count
+        jheap, cur = self.jheap, self.cur
         activity = self.activity
         partner = self.partner if self.options.implicit_learning else None
         pending = self.pending_correlated
@@ -355,16 +361,15 @@ class CSatEngine:
                             clause[0] = clause[1]
                             clause[1] = false_lit
                         first = clause[0]
-                        fv = values[first >> 1]
-                        if fv >= 0 and (fv ^ (first & 1)) == 1:
+                        fv = lv[first]
+                        if fv == 1:
                             ws[j] = ci
                             j += 1
                             continue
                         moved = False
                         for k in range(2, len(clause)):
                             lk = clause[k]
-                            kv = values[lk >> 1]
-                            if kv < 0 or (kv ^ (lk & 1)) == 1:
+                            if lv[lk]:  # true or unassigned
                                 clause[1] = lk
                                 clause[k] = false_lit
                                 watches[lk].append(ci)
@@ -374,7 +379,7 @@ class CSatEngine:
                             continue
                         ws[j] = ci
                         j += 1
-                        if fv >= 0:  # conflict: every literal false
+                        if fv == 0:  # conflict: every literal false
                             while i < n_ws:
                                 ws[j] = ws[i]
                                 j += 1
@@ -385,6 +390,8 @@ class CSatEngine:
                         x = first >> 1
                         v = 1 - (first & 1)
                         values[x] = v
+                        lv[first] = 1
+                        lv[first ^ 1] = 0
                         levels[x] = level
                         reasons[x] = 2 * ci + 1
                         trail_pos[x] = len(trail)
@@ -396,76 +403,72 @@ class CSatEngine:
                                                 v if corr[1] else 1 - v, x))
                     del ws[j:]
 
-                # --- gate implications via the lookup table
+                # --- gate implications via the lookup table.  The gate
+                # that implied ``node`` (reason 2g) already holds every pin
+                # its implication needed, and nothing is undone within one
+                # call, so its table entry is _A_NONE: skip it.
+                r = reasons[node]
+                implier = -1 if r & 1 else r >> 1
                 for g in visit[node]:
+                    if g == implier:
+                        continue
                     f0 = fan0[g]
                     f1 = fan1[g]
-                    a = f0 >> 1
-                    b = f1 >> 1
-                    va = values[a]
-                    vb = values[b]
-                    vg = values[g]
-                    la = (va ^ (f0 & 1)) if va >= 0 else 2
-                    lb = (vb ^ (f1 & 1)) if vb >= 0 else 2
-                    lg = vg if vg >= 0 else 2
-                    act = table[la * 9 + lb * 3 + lg]
+                    act = table[lv[f0] * 9 + lv[f1] * 3 + lv[2 * g]]
                     if act == _A_NONE:
                         continue
                     if act < _A_CONFL_GA:  # an _A_IMPLY_* action
+                        # t: the literal the implication makes true.
                         if act == _A_IMPLY_G0_A or act == _A_IMPLY_G0_B:
-                            x = g
-                            v = 0
+                            t = 2 * g + 1
                         elif act == _A_IMPLY_G1:
-                            x = g
-                            v = 1
+                            t = 2 * g
                         elif act == _A_IMPLY_A1 or act == _A_IMPLY_AB1:
-                            x = a
-                            v = 1 ^ (f0 & 1)
+                            t = f0
                         elif act == _A_IMPLY_B1:
-                            x = b
-                            v = 1 ^ (f1 & 1)
+                            t = f1
                         elif act == _A_IMPLY_A0:
-                            x = a
-                            v = f0 & 1
+                            t = f0 ^ 1
                         else:  # _A_IMPLY_B0
-                            x = b
-                            v = f1 & 1
+                            t = f1 ^ 1
+                        x = t >> 1
+                        v = 1 - (t & 1)
                         implied += 1
                         values[x] = v
+                        lv[t] = 1
+                        lv[t ^ 1] = 0
                         levels[x] = level
                         reasons[x] = 2 * g
                         trail_pos[x] = len(trail)
-                        trail.append(2 * x + 1 - v)
+                        trail.append(t)
                         if partner is not None:
                             corr = partner[x]
                             if corr is not None and values[corr[0]] < 0:
                                 pending.append((corr[0],
                                                 v if corr[1] else 1 - v, x))
                         if act == _A_IMPLY_AB1:
-                            # The second pin; rare enough to take the call.
-                            vb2 = values[b]
-                            if vb2 < 0:
-                                implied += 1
-                                self._assign(b, 1 ^ (f1 & 1), 2 * g)
-                            elif (vb2 ^ (f1 & 1)) == 0:  # a == b degenerate
-                                conflict = [2 * g + values[g], 2 * b + vb2]
-                                return conflict
+                            # The second pin, on another node (__init__
+                            # rewrote same-node gates; those left read only
+                            # the constant node, never unassigned), so
+                            # still unassigned.  Rare enough to take the
+                            # call.
+                            implied += 1
+                            self._assign(f1 >> 1, 1 ^ (f1 & 1), 2 * g)
                     elif act == _A_JNODE:
                         if use_jnode:
                             for cand in (f0 ^ 1, f1 ^ 1):
-                                entry = (-activity[cand], cand)
-                                copies = jcount.get(entry, 0)
-                                jcount[entry] = copies + 1
+                                copies = cur[cand]
+                                cur[cand] = copies + 1
                                 if not copies:
-                                    heappush(jheap, entry)
+                                    heappush(jheap, (-activity[cand], cand))
                     elif act == _A_CONFL_GA:
-                        conflict = [2 * g + vg, 2 * a + va]
+                        conflict = [2 * g + 1, f0]
                         return conflict
                     elif act == _A_CONFL_GB:
-                        conflict = [2 * g + vg, 2 * b + vb]
+                        conflict = [2 * g + 1, f1]
                         return conflict
                     else:  # _A_CONFL_GAB
-                        conflict = [2 * g + vg, 2 * a + va, 2 * b + vb]
+                        conflict = [2 * g, f0 ^ 1, f1 ^ 1]
                         return conflict
             return None
         finally:
@@ -532,20 +535,28 @@ class CSatEngine:
         frame = self.frame
         levels = frame.levels
         reasons = frame.reasons
-        seen = set()
+        trail = frame.trail
+        seen = self._seen
+        # Antecedents precede their consequent on the trail, so one walk
+        # down from its end meets every marked node after all of the nodes
+        # that mark it.  Level-0 nodes are never marked; the walk stops
+        # where level 1 starts and leaves no mark behind.
+        for q in seed:
+            if levels[q >> 1] > 0:
+                seen[q >> 1] = True
         core_nodes = set()
-        stack = [q >> 1 for q in seed]
-        while stack:
-            node = stack.pop()
-            if node in seen:
+        stop = frame.trail_lim[0] if frame.trail_lim else len(trail)
+        for i in range(len(trail) - 1, stop - 1, -1):
+            node = trail[i] >> 1
+            if not seen[node]:
                 continue
-            seen.add(node)
-            if levels[node] <= 0:
-                continue
+            seen[node] = False
             if reasons[node] == NO_REASON:
                 core_nodes.add(node)
             else:
-                stack.extend(q >> 1 for q in self._reason_side(node))
+                for q in self._reason_side(node):
+                    if levels[q >> 1] > 0:
+                        seen[q >> 1] = True
         return [a for a in assume
                 if (a >> 1) in core_nodes or a == must_include]
 
@@ -557,35 +568,52 @@ class CSatEngine:
 
     def _push_candidate(self, lit: int) -> None:
         """Push one copy of ``lit`` at its current activity."""
-        heap, counts = self._candidate_heap()
-        entry = (-self.activity[lit], lit)
-        copies = counts.get(entry, 0)
-        counts[entry] = copies + 1
+        copies = self.cur[lit]
+        self.cur[lit] = copies + 1
         if not copies:
-            heappush(heap, entry)
+            heappush(self._candidate_heap()[0], (-self.activity[lit], lit))
 
     def _bump(self, lit: int) -> None:
-        act = self.activity[lit] + self.var_inc
+        old = self.activity[lit]
+        act = old + self.var_inc
+        copies = self.cur[lit]
+        if copies and act != old:  # equal only if rounding lost var_inc
+            # The entry at ``old`` becomes an older one.  The dict holds
+            # only keys below the current activity, so ``old`` is new there.
+            self._candidate_heap()[1][(-old, lit)] = copies
+            self.cur[lit] = 0
         self.activity[lit] = act
         if act > 1e100:
             self._rescale_activity()
-        # Keep the active heap fresh (lazy deletion handles stale entries).
         self._push_candidate(lit)
 
     def _rescale_activity(self) -> None:
         scale = 1e-100
-        self.activity = [a * scale for a in self.activity]
+        old = self.activity
+        self.activity = activity = [a * scale for a in old]
         self.var_inc *= scale
         # Scale every heap key by the same factor, so old entries keep
         # their rank against fresh pushes.  Underflow can merge entries
-        # and tie keys, so merge the counts and re-heapify.
+        # and tie keys, an older one with the current one too, so merge
+        # the counts, split them again by the scaled activities and
+        # re-heapify.
         heap, counts = self._candidate_heap()
+        cur = self.cur
         scaled: Dict[Tuple[float, int], int] = {}
-        for (neg_act, lit), copies in counts.items():
-            entry = (neg_act * scale, lit)
-            scaled[entry] = scaled.get(entry, 0) + copies
+        for entry in heap:
+            neg_act, lit = entry
+            copies = cur[lit] if -neg_act == old[lit] else counts[entry]
+            key = (neg_act * scale, lit)
+            scaled[key] = scaled.get(key, 0) + copies
+        # A current entry stays current once scaled, so every non-zero
+        # cur[lit] is overwritten below.
         counts.clear()
-        counts.update(scaled)
+        for key, copies in scaled.items():
+            lit = key[1]
+            if -key[0] == activity[lit]:
+                cur[lit] = copies
+            else:
+                counts[key] = copies
         heap[:] = scaled
         heapify(heap)
 
@@ -742,35 +770,70 @@ class CSatEngine:
     # dropped with all its copies; one that passes gives up one copy.  The
     # assignment does not change during a pick, so this returns the same
     # literal as popping every copy one by one from a heap with duplicates.
+    # An entry's copies are in cur[lit] when its key is the literal's
+    # current activity, else in the dict.
 
     def _pick_jnode_decision(self) -> Optional[int]:
         values = self.frame.values
-        jheap, counts = self.jheap, self.jheap_count
+        activity = self.activity
+        jheap, counts, cur = self.jheap, self.jheap_count, self.cur
         in_learned = self.in_learned
+        fanout_gates = self.fanout_gates
+        fan0, fan1 = self.fan0, self.fan1
         while jheap:
             entry = jheap[0]
-            lit = entry[1]
+            neg_act, lit = entry
             node = lit >> 1
-            if values[node] < 0 and (in_learned[node]
-                                     or self._is_jinput(node)):
-                _take_copy(jheap, counts, entry)
-                return lit
+            if values[node] < 0:
+                # _is_jinput inlined; an unassigned node is not the
+                # constant node, so none of its gates is degenerate.
+                take = in_learned[node]
+                if not take:
+                    for g, pin in fanout_gates[node]:
+                        if values[g] == 0 \
+                                and values[(fan0[g] ^ fan1[g] ^ pin) >> 1] < 0:
+                            take = True
+                            break
+                if take:
+                    if -neg_act == activity[lit]:
+                        copies = cur[lit]
+                        if copies == 1:
+                            heappop(jheap)
+                        cur[lit] = copies - 1
+                    else:
+                        copies = counts[entry]
+                        if copies == 1:
+                            heappop(jheap)
+                            del counts[entry]
+                        else:
+                            counts[entry] = copies - 1
+                    return lit
             heappop(jheap)
-            del counts[entry]
+            if -neg_act == activity[lit]:
+                cur[lit] = 0
+            else:
+                del counts[entry]
         return None
 
     def _pick_global_decision(self) -> Optional[int]:
         values = self.frame.values
         activity = self.activity
-        heap, counts = self.heap, self.heap_count
+        heap, counts, cur = self.heap, self.heap_count, self.cur
         while heap:
             entry = heap[0]
-            lit = entry[1]
-            if values[lit >> 1] < 0 and -entry[0] == activity[lit]:
-                _take_copy(heap, counts, entry)
+            neg_act, lit = entry
+            current = -neg_act == activity[lit]
+            if current and values[lit >> 1] < 0:
+                copies = cur[lit]
+                if copies == 1:
+                    heappop(heap)
+                cur[lit] = copies - 1
                 return lit
             heappop(heap)
-            del counts[entry]
+            if current:
+                cur[lit] = 0
+            else:
+                del counts[entry]
         for node in range(1, self.num_nodes):
             if values[node] < 0:
                 return 2 * node

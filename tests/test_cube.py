@@ -1,9 +1,13 @@
 """Cube-and-conquer: cutter partition laws, core extraction, conquest."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro import (Circuit, CircuitSolver, CnfSolver, Limits, SAT, UNKNOWN,
                    UNSAT, miter)
+from repro.circuit.topo import append_circuit
 from repro.cnf.formula import CnfFormula
 from repro.cube import (CubeOutcome, CubeReport, CutterOptions, PRUNED,
                         SharedKnowledge, collect_csat_lemmas,
@@ -37,6 +41,36 @@ def test_cutter_deterministic():
     assert [c.literals for c in first.all_leaves] \
         == [c.literals for c in second.all_leaves]
     assert first.lookaheads == second.lookaheads
+
+
+def masked_mult(width: int, seed: int) -> Circuit:
+    """The multiplier miter with its inputs inverted by a seeded mask."""
+    base = small_miter(width)
+    rng = random.Random(seed)
+    masked = Circuit(strash=False)
+    input_map = {pi: masked.add_input() ^ rng.randint(0, 1)
+                 for pi in base.inputs}
+    copied = append_circuit(masked, base, input_map, raw=True)
+    for lit in base.outputs:
+        masked.add_output(copied[lit >> 1] ^ (lit & 1))
+    return masked
+
+
+@pytest.mark.parametrize("build, workers, golden", [
+    (lambda: small_miter(3), 1,
+     (8, 1, 192, "3eb71aaf41f85e1b12bb57c4df0f2bc789e8d871")),
+    (lambda: masked_mult(4, 1), 2,
+     (32, 2, 792, "63e5d214df588e077080461d2a9ac72969829805")),
+])
+def test_cutter_golden_tree(build, workers, golden):
+    # The cutter drives the engine's assign/propagate/undo primitives
+    # directly, so a change to them that is meant to keep the search must
+    # keep every leaf: (open cubes, refuted leaves, lookaheads, SHA-1 of
+    # the (literals, refuted, implied) leaf list).
+    cubes = generate_cubes(build(), workers=workers)
+    leaves = [(c.literals, c.refuted, c.implied) for c in cubes.all_leaves]
+    assert (len(cubes.cubes), len(cubes.refuted), cubes.lookaheads,
+            hashlib.sha1(repr(leaves).encode()).hexdigest()) == golden
 
 
 def test_cutter_respects_max_cubes():

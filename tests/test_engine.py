@@ -232,18 +232,36 @@ def _plain_pick(engine, plain):
                  if values[node] < 0), None)
 
 
+def _stored_copies(engine):
+    """Copies per heap entry, read from both count stores: ``cur`` for
+    entries at the literal's current activity, the dict for older ones.
+    Every heap entry must have a positive count in exactly one store, and
+    neither store may count an entry the heap lacks."""
+    heap, counts = engine._candidate_heap()
+    copies = Counter()
+    for entry in heap:
+        neg_act, lit = entry
+        in_cur = -neg_act == engine.activity[lit] and engine.cur[lit] > 0
+        in_dict = counts.get(entry, 0) > 0
+        assert in_cur != in_dict, entry
+        copies[entry] = engine.cur[lit] if in_cur else counts[entry]
+    live = {(-engine.activity[lit], lit)
+            for lit, count in enumerate(engine.cur) if count}
+    assert sorted(heap) == sorted(live | set(counts))
+    return copies
+
+
 class TestCandidateHeaps:
     @pytest.mark.parametrize("use_jnode", [True, False])
     def test_counted_pick_matches_plain_heap(self, use_jnode):
-        # Random pushes (few distinct activities, so many duplicates and
-        # stale keys), assignment changes and picks: the counted heap
-        # holds the same multiset as a plain heap with duplicates, and
-        # returns the same literal on every pick.
+        # Random pushes and bumps (so many duplicates and stale keys),
+        # assignment changes and picks: the counted heap holds the same
+        # multiset as a plain heap with duplicates, and returns the same
+        # literal on every pick.
         rng = random.Random(20261017 + use_jnode)
         c = build_random_circuit(5, num_inputs=8, num_gates=60)
         engine = make_engine(c, use_jnode=use_jnode)
-        heap, counts = engine._candidate_heap()
-        plain = list(heap)
+        plain = list(engine._candidate_heap()[0])
         pick = (engine._pick_jnode_decision if use_jnode
                 else engine._pick_global_decision)
         values = engine.frame.values
@@ -254,8 +272,11 @@ class TestCandidateHeaps:
             if r < 0.55:
                 lit = rng.randrange(2, 2 * n)
                 if rng.random() < 0.3:
-                    engine.activity[lit] = float(rng.randrange(4))
-                engine._push_candidate(lit)
+                    # The only way the engine changes an activity between
+                    # rescales; it pushes the raised entry itself.
+                    engine._bump(lit)
+                else:
+                    engine._push_candidate(lit)
                 heappush(plain, (-engine.activity[lit], lit))
             elif r < 0.8:
                 node = rng.randrange(1, n)
@@ -265,8 +286,7 @@ class TestCandidateHeaps:
                 expected = _plain_pick(engine, plain)
                 assert pick() == expected
                 picks += expected is not None
-            assert Counter(plain) == Counter(counts)
-            assert sorted(heap) == sorted(counts)
+            assert Counter(plain) == _stored_copies(engine)
         assert picks > 100
 
     def test_rescale_scales_jheap_keys(self):
@@ -284,7 +304,7 @@ class TestCandidateHeaps:
             top = max(engine.activity)
             assert all(-neg_act <= top for neg_act, _ in engine.jheap)
             heap = engine.jheap
-            assert sorted(heap) == sorted(engine.jheap_count)
+            _stored_copies(engine)
             assert all(heap[(k - 1) // 2] <= heap[k]
                        for k in range(1, len(heap)))
             tops.append(top)
@@ -301,7 +321,8 @@ class TestCandidateHeaps:
         engine.activity[lit] = 2e100
         engine._bump(lit)
         assert engine.activity[lit] < 1e100
-        assert engine.jheap_count[(-engine.activity[lit], lit)] == 1
+        assert engine.jheap == [(-engine.activity[lit], lit)]
+        assert engine.cur[lit] == 1
 
 
 class TestLimits:

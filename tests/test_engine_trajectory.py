@@ -5,13 +5,18 @@ bookkeeping) that is meant to be a pure speed-up must leave the search
 the same, decision for decision.  These tests pin the effort counters
 of whole solves, per preset, on small inputs that finish well before
 the first VSIDS activity rescale, so any change in decision order,
-propagation order or learning shows up as a changed number.
+propagation order or learning shows up as a changed number.  Totals
+can survive a reordering, so each run also pins the SHA-1 of its whole
+search event stream (decisions, learned gates, conflicts, sub-problems,
+restarts and clause-database reductions, in order).
 
 If a change *intends* to alter the search, re-record the table from
 the new code and say why in the change description.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.csat.options import preset
 from repro.gen.iscas import equiv_miter, opt_miter
 from repro.gen.random_circuit import random_dag
 from repro.gen.velev import vliw_like
+from repro.obs import Tracer
 from repro.proof import ProofLog
 
 
@@ -96,6 +102,80 @@ GOLDEN = {
         ('SAT', 31, 130, 5664, 5480, 149, 9, 0, None),
 }
 
+#: (input, preset) -> SHA-1 of the run's SEARCH_EVENTS stream.
+GOLDEN_EVENTS = {
+    ('c432.equiv', 'csat'):
+        'ad4a5c5b4121614e49c4efad0a2993990e0c04ec',
+    ('c432.equiv', 'csat-jnode'):
+        'f8e1204f53da3f6ed7b189e370cde29e3ae8f6ad',
+    ('c432.equiv', 'implicit'):
+        '73eec707e5e61355360470af050aaaeeb0b8d0fb',
+    ('c432.equiv', 'explicit'):
+        '0888b90247a6b7c205f5b9fc4253aae00b69f8da',
+    ('c2670.equiv', 'csat'):
+        '201c0242b1e5b83d1a3cee9a9ee15dbdc4a3f6be',
+    ('c2670.equiv', 'csat-jnode'):
+        '7a950c358312ec8e3a67506d501402cf50b62c5f',
+    ('c2670.equiv', 'implicit'):
+        '5e0c208833b61cc8052fa374633dda56ecc82a7f',
+    ('c2670.equiv', 'explicit'):
+        'a7424f7d9623ad3147ef811c6524ccb0195c87e2',
+    ('c432.opt', 'csat'):
+        '92d21b8182b11d877da6a08d4a9e64f11f33030f',
+    ('c432.opt', 'csat-jnode'):
+        '5478611f5020228b9a9034d277e141e1ca45cba5',
+    ('c432.opt', 'implicit'):
+        'ec4c2d4254c6702bd0679da26ef34b877879359d',
+    ('c432.opt', 'explicit'):
+        'b31024cb0bbc70cacab29644cd8b523a637ec327',
+    ('vliw2w3', 'csat'):
+        '7199c5766cf839ff6ba95bb770563913bbeed14f',
+    ('vliw2w3', 'csat-jnode'):
+        'be5c7f54905731253b14b66b9250502c66f71a8b',
+    ('vliw2w3', 'implicit'):
+        'be5c7f54905731253b14b66b9250502c66f71a8b',
+    ('vliw2w3', 'explicit'):
+        '4d306672eb420f8683b2b4a69b0aab6070ea2717',
+    ('rand_miter2', 'csat'):
+        '75346d534330d83a5aa179e9b97c93cb6fb3303d',
+    ('rand_miter2', 'csat-jnode'):
+        '0f5acc89d84f1294c2dc803809a3db403c634a04',
+    ('rand_miter2', 'implicit'):
+        '19d1c570c21f27e1c213527d76de1519d0362b4a',
+    ('rand_miter2', 'explicit'):
+        '4512ea680d9bfc251fe227fde6f6bacfc10f3194',
+    ('rand_dag3', 'csat'):
+        '613e2f365379e684fc5d0dc39cf031436ee0ad49',
+    ('rand_dag3', 'csat-jnode'):
+        '2db268cb158ea7890be1be082f389e1231d18cf6',
+    ('rand_dag3', 'implicit'):
+        '01173a32f1033827ba731afe01681d816a54183e',
+    ('rand_dag3', 'explicit'):
+        '70e740b1d8da3204e5c4dbc0d874846e98bda81e',
+}
+
+
+#: Trace events that record the search itself (no timings or progress).
+SEARCH_EVENTS = frozenset(("decision", "learn", "conflict", "subproblem",
+                           "restart", "reduce_db"))
+
+
+class EventDigest(Tracer):
+    """Hashes the search events of a run, in emission order."""
+
+    enabled = True
+
+    def __init__(self):
+        self._sha = hashlib.sha1()
+
+    def emit(self, kind, **fields):
+        if kind in SEARCH_EVENTS:
+            self._sha.update(repr((kind, sorted(fields.items()))).encode())
+            self._sha.update(b"\n")
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
 
 def trajectory(name: str, preset_name: str):
     circuit = INPUTS[name]()
@@ -108,6 +188,12 @@ def trajectory(name: str, preset_name: str):
             + (drup_lines,))
 
 
+def event_digest(name: str, preset_name: str) -> str:
+    digest = EventDigest()
+    CircuitSolver(INPUTS[name](), preset(preset_name, trace=digest)).solve()
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_trajectory_matches_golden(name):
     for preset_name in PRESETS:
@@ -115,9 +201,21 @@ def test_trajectory_matches_golden(name):
             (name, preset_name)
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_event_stream_matches_golden(name):
+    for preset_name in PRESETS:
+        assert event_digest(name, preset_name) \
+            == GOLDEN_EVENTS[name, preset_name], (name, preset_name)
+
+
 if __name__ == "__main__":
-    # Print the table above from the code in the current checkout.
+    # Print both tables above from the code in the current checkout.
     for name in INPUTS:
         for preset_name in PRESETS:
             print("    {!r}:\n        {!r},".format(
                 (name, preset_name), trajectory(name, preset_name)))
+    print()
+    for name in INPUTS:
+        for preset_name in PRESETS:
+            print("    {!r}:\n        {!r},".format(
+                (name, preset_name), event_digest(name, preset_name)))
