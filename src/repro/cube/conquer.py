@@ -11,7 +11,9 @@ correlations to the cutter, and schedules the open cubes:
   every sibling, and UNSAT answers accumulate until the whole partition
   is refuted.  Failures reuse the PR 3 taxonomy: CRASHED /
   CORRUPT_ANSWER / LOST cubes are retried (reseeded) up to
-  ``max_retries``; TIMEOUT / MEMOUT are final.
+  ``max_retries``; TIMEOUT / MEMOUT are final.  A worker whose cube
+  answered cleanly stays warm and takes the next cube on a fresh
+  engine; a failed one is retired.  The pool lives for one call.
 
 * ``workers == 0`` — every cube is solved sequentially on one shared
   in-process engine.  No isolation, but the learned-clause database
@@ -50,7 +52,7 @@ from ..result import Limits, SAT, SolverResult, SolverStats, UNKNOWN, UNSAT
 from ..runtime.faults import FaultPlan, NO_FAULTS
 from ..runtime.portfolio import RESEED_STRIDE, RETRYABLE
 from ..runtime.supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_SAT,
-                                  WorkerHandle, spawn_worker)
+                                  WorkerHandle, start_job)
 from ..runtime.worker import KIND_CNF, KIND_CSAT, WorkerJob
 from ..obs import make_tracer
 from ..obs.context import child_context, context_of
@@ -595,10 +597,13 @@ def _conquer_workers(circuit, objectives, cube_set, kind, preset_name,
             lambda: [list(c) for c in knowledge.lemmas]
     pending = deque((cube, 0) for cube in cube_set.cubes)
     active: List[WorkerHandle] = []
+    # Workers whose last cube answered cleanly, warm for the next one.
+    # Circuit, objectives and memory cap are fixed for this call.
+    idle: List[WorkerHandle] = []
     failures: List[WorkerFailure] = []
     merged = SolverStats()
     win_result: Optional[SolverResult] = None
-    spawn_index = 0
+    job_index = 0      # per dispatched job: what FaultPlan indices count
     workers = report.workers
 
     def remaining() -> Optional[float]:
@@ -607,7 +612,7 @@ def _conquer_workers(circuit, objectives, cube_set, kind, preset_name,
         return deadline - time.perf_counter()
 
     def spawn_next() -> bool:
-        nonlocal spawn_index
+        nonlocal job_index
         left = remaining()
         if left is not None and left <= 0:
             return False
@@ -628,18 +633,18 @@ def _conquer_workers(circuit, objectives, cube_set, kind, preset_name,
             options=options, overrides=overrides,
             objectives=list(objectives),
             limits=_per_cube_limits(limits, left),
-            mem_limit_mb=mem_limit_mb, fault=faults.fault_for(spawn_index),
+            mem_limit_mb=mem_limit_mb, fault=faults.fault_for(job_index),
             assumptions=list(cube.literals), seed_classes=seed_classes,
             seed_lemmas=knowledge.snapshot() if share_lemmas else None,
             export_lemmas=share_lemmas)
-        handle = spawn_worker(job, wall_seconds=left,
-                              grace_seconds=grace_seconds,
-                              index=spawn_index, tracer=tracer,
-                              start_method=start_method)
+        handle = start_job(job, wall_seconds=left,
+                           grace_seconds=grace_seconds, index=job_index,
+                           tracer=tracer, start_method=start_method,
+                           reuse=idle.pop() if idle else None)
         handle.cube = cube
         handle.attempt = attempt
         active.append(handle)
-        spawn_index += 1
+        job_index += 1
         if tracer is not None:
             tracer.emit("cube_start", cube=cube.index,
                         literals=len(cube.literals), attempt=attempt,
@@ -696,7 +701,10 @@ def _conquer_workers(circuit, objectives, cube_set, kind, preset_name,
                 if not done:
                     still_active.append(handle)
                     continue
-                outcome = handle.reap(certify=certify, tracer=tracer)
+                outcome = handle.reap(certify=certify, tracer=tracer,
+                                      keep=True)
+                if handle.idle:
+                    idle.append(handle)
                 cube_out = outcomes[handle.cube.index]
                 cube_out.attempts = handle.attempt + 1
                 cube_out.seconds += outcome.seconds
@@ -768,6 +776,8 @@ def _conquer_workers(circuit, objectives, cube_set, kind, preset_name,
         for handle in active:
             handle.kill(tracer=tracer, reason="shutdown")
             handle.reap(certify="off")
+        for handle in idle:
+            handle.close()
 
     failure_dicts = [f.as_dict() for f in failures]
     if win_result is not None:

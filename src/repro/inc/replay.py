@@ -342,11 +342,13 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
     options = options or SolverOptions(implicit_learning=True)
     outcome = PrepassOutcome(original=circuit, circuit=circuit)
     current = circuit
+    keyed = None        # the circuit ``keys`` and ``node_of`` describe
 
     # ------------------------------------------------------- phase 1
     for round_no in range(max_rounds):
         keys = cone_keys(current)
         node_of, duplicates = _index_digests(keys)
+        keyed = current
         facts = store.lookup(node_of)
         if round_no == 0:
             _count_hits(outcome, facts, node_of)
@@ -439,8 +441,10 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
     # ------------------------------------------------------- phase 2
     seeds: List[List[int]] = []
     if len(store):
-        keys = cone_keys(current)
-        node_of, _ = _index_digests(keys)
+        if keyed is not current:
+            keys = cone_keys(current)
+            node_of, _ = _index_digests(keys)
+        # Looked up again: phase 1 may have absorbed or evicted facts.
         facts = store.lookup(node_of)
         certifier = ConeCertifier(current)
         seeds = _replay_lemmas(current, facts, node_of, max_lemmas,

@@ -30,14 +30,14 @@ from .portfolio import (Attempt, EngineSpec, PortfolioReport, RETRYABLE,
                         default_ladder, ladder_from_names, solve_portfolio)
 from .supervisor import (CERTIFY_FULL, CERTIFY_LEVELS, CERTIFY_OFF,
                          CERTIFY_SAT, WorkerHandle, WorkerOutcome,
-                         run_supervised, spawn_worker)
+                         WorkerSlot, run_supervised, spawn_worker)
 from .worker import WORKER_KINDS, WorkerJob, payload_to_result, run_worker
 
 __all__ = [
     "Attempt", "CERTIFY_FULL", "CERTIFY_LEVELS", "CERTIFY_OFF",
     "CERTIFY_SAT", "EngineSpec", "FAULT_KINDS", "FaultPlan", "NO_FAULTS",
     "PortfolioReport", "RETRYABLE", "WORKER_KINDS", "WorkerHandle",
-    "WorkerJob", "WorkerOutcome", "default_ladder", "ladder_from_names",
-    "payload_to_result", "run_supervised", "run_worker", "solve_portfolio",
-    "spawn_worker",
+    "WorkerJob", "WorkerOutcome", "WorkerSlot", "default_ladder",
+    "ladder_from_names", "payload_to_result", "run_supervised",
+    "run_worker", "solve_portfolio", "spawn_worker",
 ]

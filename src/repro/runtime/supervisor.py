@@ -16,6 +16,11 @@ an OOM blows straight past them.  The supervisor adds *hard* enforcement:
   re-certified via :mod:`repro.verify.certify`, so a corrupted result
   downgrades to a CORRUPT_ANSWER failure instead of a wrong answer.
 
+A worker that answered cleanly stays warm: :meth:`WorkerHandle.assign`
+hands it the next job, and :class:`WorkerSlot` keeps one warm worker for
+an owner that runs jobs one after another.  Any failure, certification
+defect or kill retires the worker.
+
 Worker lifecycle events (``worker_spawn`` / ``worker_result`` /
 ``worker_fail`` / ``worker_kill``) are emitted through any
 :class:`repro.obs.Tracer` handed in — from the parent process only.
@@ -31,7 +36,7 @@ import signal
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import (CORRUPT_ANSWER, CRASHED, LOST, MEMOUT, TIMEOUT,
                       WorkerFailure)
@@ -94,22 +99,91 @@ class WorkerOutcome:
 
 
 class WorkerHandle:
-    """Parent-side handle on one running worker."""
+    """Parent-side handle on one worker process and the job it runs."""
 
-    def __init__(self, proc, conn, job: WorkerJob, index: int,
-                 deadline: Optional[float], grace_seconds: float,
-                 span: Optional[SpanContext] = None,
-                 spawn_t: float = 0.0):
+    def __init__(self, proc, conn, jobs, job: WorkerJob,
+                 grace_seconds: float):
         self.proc = proc
-        self.conn = conn
+        self.conn = conn                  # result pipe (worker -> parent)
+        self.jobs = jobs                  # job pipe (parent -> worker)
+        self.grace_seconds = grace_seconds
+        #: RLIMIT_AS binds the whole process, so a worker only takes
+        #: jobs with the cap it was spawned under.
+        self.mem_limit_mb = job.mem_limit_mb
+        self.idle = False                 # answered; waits for a job
+        self.job = job
+        self.index = 0
+        self.started = time.perf_counter()
+        self.deadline: Optional[float] = None   # absolute perf_counter
+        self.killed = False               # we sent SIGTERM/SIGKILL
+        self.span: Optional[SpanContext] = None  # worker span of this job
+        self.spawn_t = 0.0                # parent-tracer time at dispatch
+
+    def _begin(self, job: WorkerJob, wall_seconds: Optional[float],
+               index: int, tracer, span: Optional[SpanContext],
+               spawn_t: float, reused: bool) -> None:
+        """Start the clock, the span and the accounting of one job."""
         self.job = job
         self.index = index
         self.started = time.perf_counter()
-        self.deadline = deadline          # absolute perf_counter time
-        self.grace_seconds = grace_seconds
-        self.killed = False               # we sent SIGTERM/SIGKILL
-        self.span = span                  # worker span (trace correlation)
-        self.spawn_t = spawn_t            # parent-tracer time at spawn
+        self.deadline = (self.started + wall_seconds
+                         if wall_seconds is not None else None)
+        self.killed = False
+        self.span = span
+        self.spawn_t = spawn_t
+        if tracer is not None:
+            tracer.emit("worker_spawn", engine=job.name, index=index,
+                        pid=self.proc.pid, wall_seconds=wall_seconds,
+                        mem_limit_mb=job.mem_limit_mb, fault=job.fault,
+                        reused=reused)
+            if span is not None:
+                fields = span.as_fields()
+                fields.update(name="worker:{}".format(job.name), index=index,
+                              pid=self.proc.pid, reused=reused)
+                tracer.emit("span_start", **fields)
+        registry = default_registry()
+        if registry is not None:
+            registry.counter("repro_worker_jobs_total",
+                             "Jobs run on isolated workers").inc()
+
+    def assign(self, job: WorkerJob, wall_seconds: Optional[float] = None,
+               index: int = 0, tracer=None) -> bool:
+        """Hand this warm worker its next job.
+
+        Returns False, and retires the worker, unless its last job
+        answered cleanly, it is alive, and ``job`` asks for its memory
+        cap; the caller then spawns a fresh worker instead.
+        """
+        if not (self.idle and job.mem_limit_mb == self.mem_limit_mb
+                and self.proc.is_alive()):
+            self.close()
+            return False
+        span, spawn_t = _prepare_job(job, wall_seconds, tracer)
+        self.idle = False
+        try:
+            self.jobs.send(job)
+        except (OSError, ValueError):
+            pass  # died since the check: reap classifies the exit
+        self._begin(job, wall_seconds, index, tracer, span, spawn_t,
+                    reused=True)
+        return True
+
+    def close(self) -> None:
+        """Retire the worker: an idle one is asked to exit, anything
+        still alive after that is killed.  Idempotent."""
+        if self.idle and self.proc.is_alive():
+            try:
+                self.jobs.send(None)
+                self.proc.join(1.0)
+            except (OSError, ValueError):
+                pass
+        self.idle = False
+        self._terminate(1.0)
+        for conn in (self.conn, self.jobs):
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     @property
     def elapsed(self) -> float:
@@ -127,17 +201,22 @@ class WorkerHandle:
             tracer.emit("worker_kill", engine=self.job.name,
                         index=self.index, reason=reason,
                         elapsed=round(self.elapsed, 6))
+        self._terminate(self.grace_seconds)
+
+    def _terminate(self, grace: float) -> None:
         if self.proc.is_alive():
             self.proc.terminate()
-            self.proc.join(self.grace_seconds)
+            self.proc.join(grace)
             if self.proc.is_alive():
                 self.proc.kill()
                 self.proc.join(5.0)
 
-    def reap(self, certify: str = CERTIFY_SAT, tracer=None) -> WorkerOutcome:
-        """Collect this worker's outcome; call once the worker finished,
-        failed, or expired.  Always leaves the process dead and the pipe
-        closed."""
+    def reap(self, certify: str = CERTIFY_SAT, tracer=None,
+             keep: bool = False) -> WorkerOutcome:
+        """Collect this job's outcome; call once the worker answered,
+        failed, or expired.  With ``keep`` an ``ok`` outcome leaves the
+        worker alive and idle for :meth:`assign`; every other outcome
+        leaves the process dead and the pipes closed."""
         name = self.job.name
         message = None
         if not self.killed:
@@ -165,7 +244,11 @@ class WorkerHandle:
 
         if message is None:
             # No message and not expired: the process must have died.
-            self.proc.join(0.5)
+            # (A warm worker that answered stays alive: watch the pipe.)
+            ready = multiprocessing.connection.wait(
+                [self.conn, self.proc.sentinel], 0.5)
+            if self.proc.sentinel in ready:
+                self.proc.join()          # sets the exit code to classify
             try:
                 if self.conn.poll(0):
                     message = self.conn.recv()
@@ -193,7 +276,7 @@ class WorkerHandle:
                                           lemmas=payload.get("lemmas"),
                                           maxrss_mb=payload.get("maxrss_mb"),
                                           payload=payload),
-                            tracer)
+                            tracer, keep)
 
     def _classify_exit(self) -> WorkerOutcome:
         """Worker died without a message: classify from the exit status."""
@@ -228,18 +311,14 @@ class WorkerHandle:
                                     engine=name, seconds=seconds)
         return WorkerOutcome(name, failure=failure, seconds=seconds)
 
-    def _finish(self, outcome: WorkerOutcome, tracer=None) -> WorkerOutcome:
+    def _finish(self, outcome: WorkerOutcome, tracer=None,
+                keep: bool = False) -> WorkerOutcome:
         outcome.seconds = outcome.seconds or self.elapsed
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join(1.0)
-            if self.proc.is_alive():
-                self.proc.kill()
-                self.proc.join(5.0)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        # Only a clean answer leaves the worker idle; close() asks an
+        # idle worker to exit and kills any other.
+        self.idle = outcome.ok and not self.killed
+        if not (keep and self.idle):
+            self.close()
         if tracer is not None:
             if outcome.ok:
                 tracer.emit("worker_result", engine=self.job.name,
@@ -377,19 +456,10 @@ def _certify_payload(job: WorkerJob, result: SolverResult, payload: dict,
     return None
 
 
-def spawn_worker(job: WorkerJob,
-                 wall_seconds: Optional[float] = None,
-                 grace_seconds: float = 1.0,
-                 index: int = 0,
-                 tracer=None,
-                 start_method: Optional[str] = None) -> WorkerHandle:
-    """Start one isolated worker; returns immediately with its handle.
-
-    ``wall_seconds`` is the *hard* budget: the watchdog TERMs at the
-    deadline and KILLs ``grace_seconds`` later.  The job's cooperative
-    ``limits`` default to the same number so a healthy worker returns
-    UNKNOWN on its own just before the watchdog would fire.
-    """
+def _prepare_job(job: WorkerJob, wall_seconds: Optional[float],
+                 tracer) -> Tuple[Optional[SpanContext], float]:
+    """Default the job's cooperative limits and mint its per-job files:
+    the worker span's trace file and the lemma salvage file."""
     if job.limits is not None:
         job.limits.validate()
     if wall_seconds is not None and job.limits is None:
@@ -399,7 +469,7 @@ def spawn_worker(job: WorkerJob,
     parent_ctx = context_of(tracer)
     if tracer is not None and parent_ctx is not None:
         # The caller bound a span context: mint a child span for this
-        # worker and hand it a private trace file to merge back at reap.
+        # job and hand it a private trace file to merge back at reap.
         span = parent_ctx.child()
         fd, trace_path = tempfile.mkstemp(prefix="repro-worker-trace-",
                                           suffix=".jsonl")
@@ -417,30 +487,117 @@ def spawn_worker(job: WorkerJob,
                                             suffix=".json")
         os.close(fd)
         job.salvage_path = salvage_path
+    return span, spawn_t
+
+
+def spawn_worker(job: WorkerJob,
+                 wall_seconds: Optional[float] = None,
+                 grace_seconds: float = 1.0,
+                 index: int = 0,
+                 tracer=None,
+                 start_method: Optional[str] = None) -> WorkerHandle:
+    """Start one isolated worker on ``job``; returns immediately with its
+    handle.
+
+    ``wall_seconds`` is the *hard* budget: the watchdog TERMs at the
+    deadline and KILLs ``grace_seconds`` later.  The job's cooperative
+    ``limits`` default to the same number so a healthy worker returns
+    UNKNOWN on its own just before the watchdog would fire.
+    """
+    span, spawn_t = _prepare_job(job, wall_seconds, tracer)
     ctx = _context(start_method)
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=run_worker, args=(child_conn, job),
+    job_recv, job_send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=run_worker, args=(child_conn, job, job_recv),
                        name="repro-worker-{}-{}".format(index, job.name),
                        daemon=True)
     proc.start()
     child_conn.close()
-    deadline = (time.perf_counter() + wall_seconds
-                if wall_seconds is not None else None)
-    if tracer is not None:
-        tracer.emit("worker_spawn", engine=job.name, index=index,
-                    pid=proc.pid, wall_seconds=wall_seconds,
-                    mem_limit_mb=job.mem_limit_mb, fault=job.fault)
-        if span is not None:
-            fields = span.as_fields()
-            fields.update(name="worker:{}".format(job.name), index=index,
-                          pid=proc.pid)
-            tracer.emit("span_start", **fields)
+    job_recv.close()
+    handle = WorkerHandle(proc, parent_conn, job_send, job, grace_seconds)
+    handle._begin(job, wall_seconds, index, tracer, span, spawn_t,
+                  reused=False)
     registry = default_registry()
     if registry is not None:
         registry.counter("repro_worker_spawns_total",
-                         "Isolated workers spawned").inc()
-    return WorkerHandle(proc, parent_conn, job, index, deadline,
-                        grace_seconds, span=span, spawn_t=spawn_t)
+                         "Isolated worker processes spawned").inc()
+    return handle
+
+
+def start_job(job: WorkerJob, wall_seconds: Optional[float] = None,
+              grace_seconds: float = 1.0, index: int = 0, tracer=None,
+              start_method: Optional[str] = None,
+              reuse: Optional[WorkerHandle] = None) -> WorkerHandle:
+    """Run ``job`` on the warm worker ``reuse`` when it can take it
+    (see :meth:`WorkerHandle.assign`), else on a freshly spawned one."""
+    if reuse is not None and reuse.assign(job, wall_seconds, index, tracer):
+        return reuse
+    return spawn_worker(job, wall_seconds=wall_seconds,
+                        grace_seconds=grace_seconds, index=index,
+                        tracer=tracer, start_method=start_method)
+
+
+class WorkerSlot:
+    """At most one warm worker, for an owner that runs jobs one at a time.
+
+    :meth:`run` reuses the worker while its jobs answer cleanly under
+    one memory cap; the owner retires it with :meth:`close`.
+    """
+
+    def __init__(self, grace_seconds: float = 1.0,
+                 start_method: Optional[str] = None):
+        self.grace_seconds = grace_seconds
+        self.start_method = start_method
+        self.handle: Optional[WorkerHandle] = None
+
+    def run(self, job: WorkerJob, wall_seconds: Optional[float] = None,
+            certify: str = CERTIFY_SAT, tracer=None) -> WorkerOutcome:
+        """Run one job to completion under supervision (blocking).
+
+        Never raises for worker misbehaviour — inspect ``outcome.failure``.
+        """
+        if certify not in CERTIFY_LEVELS:
+            raise ValueError("certify must be one of {}".format(
+                CERTIFY_LEVELS))
+        if certify == CERTIFY_FULL:
+            job.collect_proof = True
+        root = None
+        if tracer is not None and context_of(tracer) is None:
+            # No caller-bound span: root the correlation tree here so the
+            # worker's merged events still share one trace id.
+            root = SpanContext.new_root()
+            tracer.context = root
+            fields = root.as_fields()
+            fields.update(name="supervise", engine=job.name)
+            tracer.emit("span_start", **fields)
+        handle = self.handle = start_job(
+            job, wall_seconds=wall_seconds, grace_seconds=self.grace_seconds,
+            tracer=tracer, start_method=self.start_method, reuse=self.handle)
+        while True:
+            now = time.perf_counter()
+            if handle.expired(now):
+                break
+            timeout = (min(0.25, handle.deadline - now)
+                       if handle.deadline is not None else 0.25)
+            if handle.conn.poll(max(0.0, timeout)):
+                break
+            if not handle.proc.is_alive():
+                break
+        outcome = handle.reap(certify=certify, tracer=tracer, keep=True)
+        if not handle.idle:
+            self.handle = None
+        if root is not None:
+            status = (outcome.result.status if outcome.result is not None
+                      else (outcome.failure.kind if outcome.failure
+                            else "UNKNOWN"))
+            tracer.emit("span_end", span=root.span_id, status=status)
+        return outcome
+
+    def close(self) -> None:
+        """Retire the warm worker, if any."""
+        if self.handle is not None:
+            self.handle.close()
+            self.handle = None
 
 
 def run_supervised(job: WorkerJob,
@@ -449,39 +606,14 @@ def run_supervised(job: WorkerJob,
                    certify: str = CERTIFY_SAT,
                    tracer=None,
                    start_method: Optional[str] = None) -> WorkerOutcome:
-    """Run one job to completion under supervision (blocking).
+    """Run one job on a fresh worker and retire it (a one-shot
+    :class:`WorkerSlot`).
 
     Never raises for worker misbehaviour — inspect ``outcome.failure``.
     """
-    if certify not in CERTIFY_LEVELS:
-        raise ValueError("certify must be one of {}".format(CERTIFY_LEVELS))
-    if certify == CERTIFY_FULL:
-        job.collect_proof = True
-    root = None
-    if tracer is not None and context_of(tracer) is None:
-        # No caller-bound span: root the correlation tree here so the
-        # worker's merged events still share one trace id.
-        root = SpanContext.new_root()
-        tracer.context = root
-        fields = root.as_fields()
-        fields.update(name="supervise", engine=job.name)
-        tracer.emit("span_start", **fields)
-    handle = spawn_worker(job, wall_seconds=wall_seconds,
-                          grace_seconds=grace_seconds, tracer=tracer,
-                          start_method=start_method)
-    while True:
-        now = time.perf_counter()
-        if handle.expired(now):
-            break
-        timeout = (min(0.25, handle.deadline - now)
-                   if handle.deadline is not None else 0.25)
-        if handle.conn.poll(max(0.0, timeout)):
-            break
-        if not handle.proc.is_alive():
-            break
-    outcome = handle.reap(certify=certify, tracer=tracer)
-    if root is not None:
-        status = (outcome.result.status if outcome.result is not None
-                  else (outcome.failure.kind if outcome.failure else "UNKNOWN"))
-        tracer.emit("span_end", span=root.span_id, status=status)
-    return outcome
+    slot = WorkerSlot(grace_seconds=grace_seconds, start_method=start_method)
+    try:
+        return slot.run(job, wall_seconds=wall_seconds, certify=certify,
+                        tracer=tracer)
+    finally:
+        slot.close()

@@ -1,9 +1,10 @@
 """Worker-side code: what runs inside one isolated solve subprocess.
 
 The supervisor (:mod:`repro.runtime.supervisor`) spawns a process whose
-target is :func:`run_worker`.  The child applies its memory cap, injects
-any scheduled fault, runs the solve described by its :class:`WorkerJob`,
-and sends exactly one message back over the pipe:
+target is :func:`run_worker`.  For each job the child applies its memory
+cap, injects any scheduled fault, runs the solve described by its
+:class:`WorkerJob` on a fresh engine, and sends exactly one message back
+over the result pipe:
 
 ``("result", payload)``
     ``payload`` is a plain dict (status, model, stats, timings, optional
@@ -15,6 +16,11 @@ and sends exactly one message back over the pipe:
     uncaught exception -> CRASHED).  Deaths the child cannot report
     (segfault, SIGKILL, hang) are classified by the parent from the exit
     status instead.
+
+After a ``("result", …)`` message the worker stays warm: it waits on a
+second pipe for its owner's next job, and exits on ``None``, on EOF, or
+once the process it was forked from is gone.  After anything else it
+exits, so a worker that failed is never handed another job.
 
 Everything here must stay importable at module top level so the
 ``spawn`` start method can find :func:`run_worker` by qualified name.
@@ -408,15 +414,61 @@ def _solve_job(job: WorkerJob, tracer=None, salvage=None) -> dict:
     }
 
 
-def _safe_send(conn, message: Tuple[str, Optional[dict]]) -> None:
+def _safe_send(conn, message: Tuple[str, Optional[dict]]) -> bool:
     try:
         conn.send(message)
+        return True
     except (OSError, ValueError, MemoryError):
-        pass  # parent gone or allocation failed: parent classifies as LOST
+        return False  # parent gone or allocation failed: parent sees LOST
 
 
-def run_worker(conn, job: WorkerJob) -> None:
-    """Child-process entry point: solve, classify own failures, report."""
+def _default_sigterm() -> None:
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    except (ValueError, OSError):
+        pass  # non-main thread or unsupported platform
+
+
+def run_worker(conn, job: WorkerJob, jobs=None) -> None:
+    """Child-process entry point: run ``job``, then every job the owner
+    sends over ``jobs`` while each one answers cleanly."""
+    parent = os.getppid()
+    # The parent's handlers (a server's graceful-drain hook) must not
+    # turn the watchdog's SIGTERM into anything but a death.
+    _default_sigterm()
+    try:
+        while job is not None and _run_job(conn, job):
+            # Drop the job's salvage handler before idling: a SIGTERM
+            # now kills a worker with nothing left to flush.
+            _default_sigterm()
+            job = _next_job(jobs, parent)
+    finally:
+        try:
+            conn.close()
+        except OSError:
+            pass
+
+
+def _next_job(jobs, parent: int) -> Optional[WorkerJob]:
+    """Wait for the owner's next job; None retires the worker.
+
+    EOF alone cannot signal a dead owner (workers forked later inherit
+    each other's pipe ends), so the wait also watches the parent pid.
+    """
+    if jobs is None:
+        return None
+    while os.getppid() == parent:
+        try:
+            if jobs.poll(0.25):
+                return jobs.recv()
+        except (EOFError, OSError):
+            return None
+    return None
+
+
+def _run_job(conn, job: WorkerJob) -> bool:
+    """Solve one job, classify own failures, report; True only when a
+    ``("result", …)`` message reached the owner."""
     tracer = None
     salvage = None
     if job.salvage_path is not None and job.export_lemmas:
@@ -445,8 +497,7 @@ def run_worker(conn, job: WorkerJob) -> None:
         # Flush the trace before the result crosses the pipe: the parent
         # merges our file the moment it sees the message.
         tracer = _close_tracer(tracer)
-        if payload is not None:
-            _safe_send(conn, ("result", payload))
+        return payload is not None and _safe_send(conn, ("result", payload))
     except MemoryError:
         if salvage is not None:
             salvage.write()
@@ -462,10 +513,7 @@ def run_worker(conn, job: WorkerJob) -> None:
             "detail": "{}: {}".format(type(exc).__name__, exc)}))
     finally:
         tracer = _close_tracer(tracer)
-        try:
-            conn.close()
-        except OSError:
-            pass
+    return False
 
 
 def _close_tracer(tracer):

@@ -5,9 +5,10 @@ This is the server's engine room.  Requests are admitted (or rejected
 fingerprinted, answered from the :class:`~repro.serve.cache.AnswerCache`
 when possible, deduplicated against identical in-flight work, and
 otherwise queued by priority for a pool of worker threads.  Each worker
-thread runs the solve in an **isolated subprocess** via
-:func:`repro.runtime.supervisor.run_supervised` (or fans out further via
-:func:`repro.cube.solve_cubes` for ``engine="cube"``), so a hanging,
+thread runs the solve in an **isolated subprocess**, on the one warm
+worker its :class:`repro.runtime.supervisor.WorkerSlot` keeps (retired
+on any failure), or fans out further via
+:func:`repro.cube.solve_cubes` for ``engine="cube"``; so a hanging,
 crashing, or memory-bombing solve can never take the server down: it
 surfaces as the PR3 failure taxonomy (TIMEOUT / MEMOUT / CRASHED /
 CORRUPT_ANSWER / LOST), verbatim, in the job's result payload.
@@ -31,8 +32,7 @@ from typing import Any, Dict, List, Optional
 from ..circuit.netlist import Circuit
 from ..errors import SolverError
 from ..result import Limits, SAT, UNKNOWN, UNSAT
-from ..runtime.supervisor import (CERTIFY_LEVELS, CERTIFY_SAT,
-                                  run_supervised)
+from ..runtime.supervisor import CERTIFY_LEVELS, CERTIFY_SAT, WorkerSlot
 from ..runtime.worker import (KIND_CNF, KIND_CSAT, KIND_SWEEP,
                               WORKER_KINDS, WorkerJob)
 from ..durable.journal import (KIND_ADMITTED, KIND_CANCELLED, KIND_FINISHED,
@@ -471,6 +471,14 @@ class SolveScheduler:
     # ------------------------------------------------------------------
 
     def _worker_loop(self) -> None:
+        # This thread's warm worker; retired when the thread exits.
+        slot = WorkerSlot(grace_seconds=self.grace_seconds)
+        try:
+            self._serve_jobs(slot)
+        finally:
+            slot.close()
+
+    def _serve_jobs(self, slot: WorkerSlot) -> None:
         while True:
             with self._lock:
                 while not self._queue and not self._closed:
@@ -487,14 +495,14 @@ class SolveScheduler:
                                    "Jobs queued, not yet running").set(
                                        len(self._queue))
             try:
-                self._execute(job)
+                self._execute(job, slot)
             finally:
                 with self._lock:
                     self._running -= 1
                     self.completed += 1
                     self._work.notify_all()
 
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, slot: WorkerSlot) -> None:
         request = job.request
         job.state = RUNNING
         job.started = time.time()
@@ -515,7 +523,7 @@ class SolveScheduler:
                           engine=request.engine, label=request.label)
             tracer.emit("span_start", **fields)
         try:
-            payload = self._solve(job, tracer)
+            payload = self._solve(job, tracer, slot)
         except Exception as exc:  # noqa: BLE001 — the server must survive
             payload = {"status": UNKNOWN, "model_size": 0, "engine": None,
                        "cached": False,
@@ -570,16 +578,16 @@ class SolveScheduler:
                     else min(wall, self.max_wall_seconds))
         return wall
 
-    def _solve(self, job: Job, tracer) -> Dict[str, Any]:
+    def _solve(self, job: Job, tracer, slot: WorkerSlot) -> Dict[str, Any]:
         """Run one admitted job to a result payload (worker thread)."""
         request = job.request
         if request.engine == ENGINE_SWEEP:
-            return self._run_sweep(job, tracer)
+            return self._run_sweep(job, tracer, slot)
         prepass = self._prepass(job, tracer)
         circuit = prepass.circuit if prepass is not None \
             else request.circuit
         seeds = list(prepass.seed_lemmas) if prepass is not None else None
-        payload = self._dispatch(job, tracer, circuit, seeds)
+        payload = self._dispatch(job, tracer, slot, circuit, seeds)
         if prepass is None or payload["status"] != SAT:
             # UNSAT on the pre-passed circuit implies UNSAT on the
             # original: every merge the pre-pass applied was re-proved
@@ -601,9 +609,9 @@ class SolveScheduler:
         if self.tracer is not None:
             self.tracer.emit("inc_prepass_discarded", job=job.id,
                              detail=certificate.detail)
-        return self._dispatch(job, tracer, request.circuit, None)
+        return self._dispatch(job, tracer, slot, request.circuit, None)
 
-    def _dispatch(self, job: Job, tracer, circuit: Circuit,
+    def _dispatch(self, job: Job, tracer, slot: WorkerSlot, circuit: Circuit,
                   seed_lemmas) -> Dict[str, Any]:
         """Run the requested engine on ``circuit`` (the original or the
         pre-passed reduction) and return the raw payload."""
@@ -632,9 +640,8 @@ class SolveScheduler:
             seed_lemmas=seed_lemmas if request.engine in (KIND_CSAT,
                                                           KIND_CNF)
             else None)
-        outcome = run_supervised(worker_job, wall_seconds=wall,
-                                 grace_seconds=self.grace_seconds,
-                                 certify=self.certify, tracer=tracer)
+        outcome = slot.run(worker_job, wall_seconds=wall,
+                           certify=self.certify, tracer=tracer)
         if outcome.ok:
             payload = outcome.result.as_dict()
             payload["cached"] = False
@@ -679,7 +686,8 @@ class SolveScheduler:
                              **outcome.as_dict())
         return outcome if outcome.useful else None
 
-    def _run_sweep(self, job: Job, tracer) -> Dict[str, Any]:
+    def _run_sweep(self, job: Job, tracer,
+                   slot: WorkerSlot) -> Dict[str, Any]:
         """Sweep-as-a-service: reduce the circuit on an isolated worker
         and absorb the proven facts into the knowledge store."""
         request = job.request
@@ -688,9 +696,8 @@ class SolveScheduler:
             circuit=request.circuit, name=ENGINE_SWEEP, kind=KIND_SWEEP,
             preset_name=request.preset, limits=request.limits,
             mem_limit_mb=self.mem_limit_mb, fault=request.fault)
-        outcome = run_supervised(worker_job, wall_seconds=wall,
-                                 grace_seconds=self.grace_seconds,
-                                 certify=self.certify, tracer=tracer)
+        outcome = slot.run(worker_job, wall_seconds=wall,
+                           certify=self.certify, tracer=tracer)
         if not outcome.ok:
             return {"status": UNKNOWN, "model_size": 0,
                     "engine": outcome.engine, "cached": False,
@@ -823,7 +830,9 @@ class SolveScheduler:
         ``drain=True`` (graceful): refuse new work, let queued + running
         jobs finish.  ``drain=False``: additionally cancel everything
         still queued (their jobs finish CANCELLED with a structured
-        payload).  Returns True once all worker threads exited.
+        payload).  Returns True once all worker threads exited; each
+        closes its :class:`WorkerSlot` on the way out, so then no warm
+        worker process is left either.
         """
         with self._lock:
             self._closed = True

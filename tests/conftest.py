@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import Circuit
+from repro.obs.metrics import MetricsRegistry, disable_metrics, enable_metrics
 
 
 def build_random_circuit(seed: int, num_inputs: int = 5, num_gates: int = 25,
@@ -43,3 +44,11 @@ def full_adder() -> Circuit:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(1234)
+
+
+@pytest.fixture
+def registry():
+    """A fresh process-wide metrics registry, disabled again afterwards."""
+    reg = enable_metrics(MetricsRegistry())
+    yield reg
+    disable_metrics()

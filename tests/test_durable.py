@@ -36,9 +36,7 @@ from repro.durable import (CheckpointError, CubeCheckpoint, Journal,
 from repro.durable.journal import (JOURNAL_VERSION, KIND_ADMITTED,
                                    KIND_CANCELLED, KIND_FINISHED,
                                    KIND_STARTED)
-from repro.obs.metrics import (MetricsRegistry, default_registry,
-                               disable_metrics, enable_metrics,
-                               parse_exposition)
+from repro.obs.metrics import default_registry, parse_exposition
 from repro.result import Limits, SAT, UNSAT
 from repro.serve import AnswerCache, JobRequest, ReproServer, ServeClient, \
     ServeError, SolveScheduler, fingerprint
@@ -50,13 +48,6 @@ def build_unsat() -> Circuit:
     a = c.add_input("a")
     c.add_output(c.add_and(a, a ^ 1), "out")
     return c
-
-
-@pytest.fixture
-def registry():
-    reg = enable_metrics(MetricsRegistry())
-    yield reg
-    disable_metrics()
 
 
 # ----------------------------------------------------------------------

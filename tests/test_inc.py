@@ -8,6 +8,7 @@ never-seen revisions), the tampered-store soundness guarantee, and the
 scheduler integration (sweep-as-a-service plus the solve pre-pass).
 """
 
+import hashlib
 import json
 import os
 
@@ -291,6 +292,16 @@ class TestIncrementalPrepass:
         assert outcome.rejected == 0
         assert solve_outputs_true(outcome.circuit,
                                   outcome.seed_lemmas).status == UNSAT
+        # Phase 2 reuses the cone keys of phase 1's last round when the
+        # circuit did not change since; the pre-pass must stay exact:
+        # SHA-1 of (summary, seed lemmas, store facts in LRU order),
+        # recorded with the keys recomputed for phase 2.
+        summary = dict(outcome.as_dict())
+        summary.pop("seconds")
+        state = repr((sorted(summary.items()), outcome.seed_lemmas,
+                      list(store._facts.items())))
+        assert hashlib.sha1(state.encode()).hexdigest() \
+            == "ca8f52dc1e93429323207632bbd067531f44bf63"
 
     def test_prepass_preserves_function(self, tmp_path):
         base = small_miter()

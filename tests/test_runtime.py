@@ -9,16 +9,22 @@ hang in the supervising process.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from repro import Circuit
+from repro import Circuit, miter
 from repro.errors import (CORRUPT_ANSWER, CRASHED, LOST, MEMOUT, TIMEOUT,
                           SolverError, WorkerFailure)
 from repro.result import Limits, SAT, SolverResult, UNKNOWN, UNSAT
-from repro.runtime import (EngineSpec, FaultPlan, WorkerJob, default_ladder,
-                           run_supervised, solve_portfolio)
+from repro.obs.metrics import parse_exposition
+from repro.obs.trace import Tracer
+from repro.runtime import (EngineSpec, FaultPlan, WorkerJob, WorkerSlot,
+                           default_ladder, run_supervised, solve_portfolio)
 from repro.runtime.faults import NO_FAULTS
 from repro.runtime.portfolio import ladder_from_names
 from conftest import build_full_adder
@@ -34,6 +40,48 @@ def build_unsat_circuit() -> Circuit:
 
 def job_for(circuit: Circuit, fault=None, **kwargs) -> WorkerJob:
     return WorkerJob(circuit=circuit, name="explicit", fault=fault, **kwargs)
+
+
+class SpawnLog(Tracer):
+    """Keeps the ``worker_spawn`` events: one per job, with its pid and
+    whether the job went to a warm worker."""
+
+    enabled = True
+
+    def __init__(self):
+        self.spawns = []
+
+    def emit(self, kind, **fields):
+        if kind == "worker_spawn":
+            self.spawns.append(fields)
+
+
+def run_on(worker: str, job: WorkerJob, wall_seconds: float,
+           grace_seconds: float = 1.0, certify: str = "sat"):
+    """Run ``job`` on a fresh worker, or (``worker="warm"``) as the second
+    job of a slot whose first job answered; returns (outcome, seconds the
+    job itself took)."""
+    if worker == "fresh":
+        t0 = time.perf_counter()
+        outcome = run_supervised(job, wall_seconds=wall_seconds,
+                                 grace_seconds=grace_seconds, certify=certify)
+        return outcome, time.perf_counter() - t0
+    log = SpawnLog()
+    slot = WorkerSlot(grace_seconds=grace_seconds)
+    try:
+        first = slot.run(job_for(build_full_adder(),
+                                 mem_limit_mb=job.mem_limit_mb),
+                         wall_seconds=30, tracer=log)
+        assert first.ok
+        t0 = time.perf_counter()
+        outcome = slot.run(job, wall_seconds=wall_seconds, certify=certify,
+                           tracer=log)
+        seconds = time.perf_counter() - t0
+    finally:
+        slot.close()
+    fresh, warm = log.spawns
+    assert warm["reused"] and warm["pid"] == fresh["pid"]
+    return outcome, seconds
 
 
 # ----------------------------------------------------------------------
@@ -77,25 +125,37 @@ class TestSupervisorHealthy:
 # Supervisor: the fault-injection matrix
 # ----------------------------------------------------------------------
 
-class TestFaultMatrix:
-    """Each injected fault must surface as its documented failure kind."""
+_FAULT_MATRIX = [
+    ("crash", CRASHED),
+    ("segv", CRASHED),
+    ("hang", TIMEOUT),
+    ("hang-hard", TIMEOUT),
+    ("membomb", MEMOUT),
+    ("lost", LOST),
+    ("corrupt", CORRUPT_ANSWER),
+]
 
-    @pytest.mark.parametrize("fault,expected_kind", [
-        ("crash", CRASHED),
-        ("segv", CRASHED),
-        ("hang", TIMEOUT),
-        ("hang-hard", TIMEOUT),
-        ("membomb", MEMOUT),
-        ("lost", LOST),
-        ("corrupt", CORRUPT_ANSWER),
-    ])
-    def test_fault_surfaces_as(self, full_adder, fault, expected_kind):
-        outcome = run_supervised(job_for(full_adder, fault=fault),
-                                 wall_seconds=1.0, grace_seconds=0.5)
+
+class TestFaultMatrix:
+    """Each injected fault must surface as its documented failure kind,
+    on a fresh worker and on a warm one alike."""
+
+    @pytest.mark.parametrize("fault,expected_kind,worker", [
+        pytest.param(fault, kind, worker,
+                     id=("" if worker == "fresh" else worker + "-")
+                     + "{}-{}".format(fault, kind))
+        for worker in ("fresh", "warm") for fault, kind in _FAULT_MATRIX])
+    def test_fault_surfaces_as(self, full_adder, fault, expected_kind,
+                               worker):
+        wall, grace = 1.0, 0.5
+        outcome, seconds = run_on(worker, job_for(full_adder, fault=fault),
+                                  wall_seconds=wall, grace_seconds=grace)
         assert not outcome.ok
         assert isinstance(outcome.failure, WorkerFailure)
         assert outcome.failure.kind == expected_kind
         assert outcome.failure.engine == "explicit"
+        # Documented overrun bound: budget + grace (plus scheduling slack).
+        assert seconds <= wall + grace + 1.0
 
     def test_hang_killed_within_grace_of_budget(self, full_adder):
         wall, grace = 0.5, 0.5
@@ -117,11 +177,29 @@ class TestFaultMatrix:
         assert elapsed <= wall + grace + 1.0
 
     def test_membomb_with_cap_is_memout(self, full_adder):
-        outcome = run_supervised(
-            job_for(full_adder, fault="membomb", mem_limit_mb=256),
-            wall_seconds=20, grace_seconds=1.0)
-        assert outcome.failure.kind == MEMOUT
-        assert "256" in outcome.failure.detail
+        for worker in ("fresh", "warm"):
+            outcome, _ = run_on(
+                worker, job_for(full_adder, fault="membomb",
+                                mem_limit_mb=256),
+                wall_seconds=20, grace_seconds=1.0)
+            assert outcome.failure.kind == MEMOUT
+            assert "256" in outcome.failure.detail
+
+    def test_owner_sigterm_handler_not_inherited(self, full_adder):
+        # A server's graceful-drain hook is a Python SIGTERM handler; a
+        # forked worker that kept it would swallow the watchdog's SIGTERM
+        # and live until the SIGKILL a grace period later.
+        wall, grace = 0.5, 3.0
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            t0 = time.perf_counter()
+            outcome = run_supervised(job_for(full_adder, fault="hang"),
+                                     wall_seconds=wall, grace_seconds=grace)
+            elapsed = time.perf_counter() - t0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert outcome.failure.kind == TIMEOUT
+        assert elapsed < wall + grace / 2
 
     def test_corrupt_model_caught_by_sat_certification(self, full_adder):
         outcome = run_supervised(job_for(full_adder, fault="corrupt"),
@@ -145,6 +223,154 @@ class TestFaultMatrix:
         record = outcome.failure.as_dict()
         assert set(record) == {"kind", "detail", "engine", "seconds"}
         assert record["kind"] == CRASHED
+
+
+# ----------------------------------------------------------------------
+# Warm workers: reuse, retirement, orphans
+# ----------------------------------------------------------------------
+
+class TestWarmWorker:
+    def run_pair(self, first: WorkerJob, second: WorkerJob,
+                 wall_seconds: float = 30.0):
+        """Run two jobs on one slot; returns the second outcome and both
+        ``worker_spawn`` events."""
+        log = SpawnLog()
+        slot = WorkerSlot(grace_seconds=0.5)
+        try:
+            slot.run(first, wall_seconds=30, tracer=log)
+            handle = slot.handle
+            outcome = slot.run(second, wall_seconds=wall_seconds,
+                               tracer=log)
+            if handle is not None and handle is not slot.handle:
+                assert not handle.proc.is_alive()  # retired, not leaked
+        finally:
+            slot.close()
+        return outcome, log.spawns
+
+    def test_answered_worker_is_reused(self, full_adder, registry):
+        outcome, (a, b) = self.run_pair(job_for(full_adder),
+                                        job_for(build_unsat_circuit()))
+        assert outcome.ok and outcome.result.status == UNSAT
+        assert not a["reused"] and b["reused"] and a["pid"] == b["pid"]
+        families = parse_exposition(registry.render())
+        assert families["repro_worker_spawns_total"]["samples"][0][2] == 1
+        assert families["repro_worker_jobs_total"]["samples"][0][2] == 2
+
+    @pytest.mark.parametrize("fault", ["crash", "lost", "corrupt"])
+    def test_never_reused_after_a_failure(self, full_adder, fault):
+        # corrupt: the worker answered, but certification rejected it.
+        _, (a, b) = self.run_pair(job_for(full_adder, fault=fault),
+                                  job_for(full_adder))
+        assert not b["reused"] and b["pid"] != a["pid"]
+
+    def test_never_reused_after_a_kill(self, full_adder):
+        log = SpawnLog()
+        slot = WorkerSlot(grace_seconds=0.5)
+        try:
+            assert slot.run(job_for(full_adder), wall_seconds=30,
+                            tracer=log).ok
+            handle = slot.handle
+            hung = slot.run(job_for(full_adder, fault="hang"),
+                            wall_seconds=0.5, tracer=log)
+            assert hung.failure.kind == TIMEOUT
+            assert slot.handle is None and not handle.proc.is_alive()
+            assert slot.run(job_for(full_adder), wall_seconds=30,
+                            tracer=log).ok
+        finally:
+            slot.close()
+        first, killed, after = log.spawns
+        assert killed["reused"] and not after["reused"]
+        assert after["pid"] != first["pid"]
+
+    def test_never_reused_under_another_memory_cap(self, full_adder):
+        outcome, (a, b) = self.run_pair(job_for(full_adder),
+                                        job_for(full_adder,
+                                                mem_limit_mb=512))
+        assert outcome.ok
+        assert not b["reused"] and b["pid"] != a["pid"]
+
+    def test_fresh_and_warm_cube_jobs_agree(self):
+        from repro.cube import generate_cubes
+        from repro.gen.arith import array_multiplier, csa_multiplier
+        circuit = miter(array_multiplier(4), csa_multiplier(4))
+        # Miter output 1 is UNSAT under every cube; output 0 is SAT.
+        goals = ([o for o in circuit.outputs],
+                 [o ^ 1 for o in circuit.outputs])
+        cubes = [(goal, cube.literals) for goal in goals
+                 for cube in generate_cubes(circuit, goal,
+                                            workers=2).cubes[:3]]
+
+        def cube_jobs():
+            for goal, literals in cubes:
+                yield WorkerJob(circuit=circuit, name="cube",
+                                preset_name="implicit", objectives=goal,
+                                assumptions=list(literals),
+                                export_lemmas=True)
+
+        def answer(outcome):
+            assert outcome.ok
+            result = outcome.result
+            return (result.status, result.stats.as_dict(), result.model,
+                    result.core, outcome.lemmas)
+
+        fresh = [answer(run_supervised(job, wall_seconds=60))
+                 for job in cube_jobs()]
+        log = SpawnLog()
+        slot = WorkerSlot()
+        try:
+            warm = [answer(slot.run(job, wall_seconds=60, tracer=log))
+                    for job in cube_jobs()]
+        finally:
+            slot.close()
+        assert [s["reused"] for s in log.spawns] == [False] + [True] * 5
+        assert {SAT, UNSAT} <= {status for status, *_ in fresh}
+        assert warm == fresh
+
+    def test_orphaned_worker_exits(self, tmp_path):
+        # The owner runs one job on a slot (its worker now idles, warm),
+        # reports the worker pid and dies by SIGKILL: no close(), no None
+        # on the job pipe.  The worker must notice and exit by itself.
+        owner = tmp_path / "owner.py"
+        owner.write_text(
+            "import os, signal\n"
+            "from repro import Circuit\n"
+            "from repro.runtime import WorkerJob, WorkerSlot\n"
+            "c = Circuit('and2')\n"
+            "c.add_output(c.add_and(c.add_input('a'), c.add_input('b')))\n"
+            "slot = WorkerSlot()\n"
+            "assert slot.run(WorkerJob(circuit=c), wall_seconds=30).ok\n"
+            "print(slot.handle.proc.pid, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        # Read one line, not to EOF: the worker inherits the owner's
+        # stdout and would hold it open for as long as it lives.
+        with subprocess.Popen([sys.executable, str(owner)], env=env,
+                              stdout=subprocess.PIPE) as proc:
+            pid = int(proc.stdout.readline())
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 2.0
+        while _process_alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        alive = _process_alive(pid)
+        if alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, "worker outlived its owner by 2 s"
+
+
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as
+    gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/{}/stat".format(pid)) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (OSError, IndexError):
+        return True
 
 
 # ----------------------------------------------------------------------

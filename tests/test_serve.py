@@ -526,6 +526,7 @@ class TestMetricsEndpoint:
         assert "bad-engine" in rejection_codes
         # runtime layer (the direct solve ran under the supervisor)
         assert "repro_worker_spawns_total" in families
+        assert "repro_worker_jobs_total" in families
         assert "repro_worker_seconds" in families
         assert "repro_worker_results_total" in families
         # cube layer
