@@ -7,7 +7,7 @@ pytest-benchmark's statistical timing on small repeatable kernels:
 * CNF watched-literal propagation,
 * the flat-array kernel on both of those probes (the speedup the
   ``kernel_*`` / legacy pairs record is the repo's ≥5x claim),
-* word-parallel random simulation (bigint and numpy lanes),
+* word-parallel random simulation,
 * correlation-class refinement,
 * miter construction and Tseitin encoding.
 """
@@ -20,8 +20,7 @@ from repro import CnfSolver, Limits, tseitin
 from repro.csat.engine import CSatEngine
 from repro.csat.options import SolverOptions
 from repro.gen.iscas import circuit_by_name, equiv_miter
-from repro.kernel import HAVE_NUMPY, FlatCnfSolver, KernelEngine
-from repro.kernel.simd import find_correlations_wide
+from repro.kernel import FlatCnfSolver, KernelEngine
 from repro.sim.bitsim import random_input_words, simulate_words
 from repro.sim.correlation import find_correlations
 from repro.circuit.miter import miter_identical
@@ -85,11 +84,6 @@ def test_kernel_cnf_bcp_throughput(benchmark, mult_miter):
 
     result = benchmark.pedantic(probe, rounds=3, iterations=1)
     assert result.stats.propagations > 0
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-def test_kernel_wide_correlation_discovery(benchmark, mult_miter):
-    benchmark(find_correlations_wide, mult_miter, seed=3)
 
 
 @pytest.fixture(scope="module")

@@ -52,7 +52,7 @@ class CircuitSolver:
         self.proof = proof
         if self.options.backend == "kernel":
             # Imported lazily so the legacy path never pays for the kernel
-            # package (and its optional numpy probe).
+            # package.
             from ..kernel.circuit import KernelEngine
             self.engine = KernelEngine(circuit, self.options, proof=proof)
         else:

@@ -15,6 +15,7 @@ rewriter-optimized copy (full circuits' miters stay unsatisfiable).
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Dict, List, Optional
 
 from ..circuit.netlist import Circuit
@@ -82,7 +83,8 @@ def scan_circuit_by_name(name: str) -> Circuit:
             name, ", ".join(scan_catalog_names())))
     return scan_like(blocks, support=support, depth=depth,
                      num_state=num_state, num_pi=num_pi,
-                     seed=hash(key) & 0xffff, name=key + ".scan")
+                     seed=zlib.crc32(key.encode()) & 0xffff,
+                     name=key + ".scan")
 
 
 def scan_equiv_miter(name: str, seed: int = 0, style: str = "or") -> Circuit:

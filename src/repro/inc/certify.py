@@ -5,11 +5,11 @@ cone is constant", "these two cones are equal", "this unit/binary
 clause holds".  The default way to re-establish such a claim on the
 requesting circuit is a budgeted SAT probe, but when the *joint input
 cone* of the involved signals is small there is a cheaper proof that is
-just as sound: extract the cone and enumerate **all** assignments of
-its inputs with word-parallel simulation.  Signals outside the cone
-cannot affect the claimed signals, so exhausting the cone's inputs
-exhausts all circuit behaviours the claim ranges over — the check is
-exact, never "probably".
+just as sound: enumerate **all** assignments of the cone's inputs with
+word-parallel simulation, evaluating the cone where it sits in the
+circuit.  Signals outside the cone cannot affect the claimed signals,
+so exhausting the cone's inputs exhausts all circuit behaviours the
+claim ranges over — the check is exact, never "probably".
 
 On the mutated-miter workload this is the difference between
 re-deriving a miter's output constants by CDCL (about as expensive as
@@ -28,8 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
-from ..circuit.topo import extract_cone
-from ..sim.bitsim import exhaustive_input_words, simulate_words
+from ..sim.bitsim import exhaustive_input_words
 
 #: Widest joint input cone enumerated exhaustively (2**14 patterns — a
 #: 16 kbit word per signal, still fast as Python bigint bit-ops).
@@ -39,9 +38,9 @@ MAX_EXHAUSTIVE_INPUTS = 14
 class ConeCertifier:
     """Exact clause-validity oracle over one circuit's small cones.
 
-    Extracted cones and their truth tables are cached per root-node
-    set, so certifying the two implications of an equivalence (or many
-    facts sharing roots) extracts and simulates only once.
+    Truth tables are cached per root-node set, so certifying the two
+    implications of an equivalence (or many facts sharing roots)
+    simulates the cone only once.
     """
 
     def __init__(self, circuit: Circuit,
@@ -60,23 +59,27 @@ class ConeCertifier:
                 ) -> Optional[Tuple[Dict[int, int], int]]:
         if roots in self._cache:
             return self._cache[roots]
-        sub, node_map = extract_cone(self.circuit, [2 * n for n in roots],
-                                     name=self.circuit.name + ".cert")
-        k = sub.num_inputs
+        circuit = self.circuit
+        cone = circuit.cone([2 * n for n in roots])
+        inputs = [n for n in cone if circuit.is_input(n)]
+        k = len(inputs)
         if k > self.max_inputs:
             self._cache[roots] = None
             return None
-        width = 1 << k
-        vals = simulate_words(sub, exhaustive_input_words(k), width)
-        mask = (1 << width) - 1
-        tables: Dict[int, int] = {}
-        for node in roots:
-            lit = node_map[node]
-            word = vals[lit >> 1]
-            if lit & 1:
-                word ^= mask
-            tables[node] = word
-        result = (tables, mask)
+        # The cone's inputs, in ascending node order, take the exhaustive
+        # patterns; its AND nodes are evaluated in place (``cone`` is
+        # sorted, hence topological).
+        mask = (1 << (1 << k)) - 1
+        vals: Dict[int, int] = dict(zip(inputs, exhaustive_input_words(k)))
+        vals[0] = 0
+        fanins, is_and = circuit.fanins, circuit.is_and
+        for n in cone:
+            if is_and(n):
+                f0, f1 = fanins(n)
+                a = vals[f0 >> 1] ^ (mask if f0 & 1 else 0)
+                b = vals[f1 >> 1] ^ (mask if f1 & 1 else 0)
+                vals[n] = a & b
+        result = ({node: vals[node] for node in roots}, mask)
         self._cache[roots] = result
         return result
 

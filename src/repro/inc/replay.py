@@ -49,7 +49,7 @@ from ..csat.engine import CSatEngine
 from ..csat.options import SolverOptions
 from ..obs.metrics import default_registry
 from ..result import Limits, SAT, UNSAT
-from ..serve.fingerprint import cone_fingerprint, cone_keys
+from ..serve.fingerprint import cone_keys
 from .certify import ConeCertifier
 from ..sim.correlation import CorrelationSet, find_correlations
 from .store import KIND_CONST, KIND_EQUIV, KIND_LEMMA, KnowledgeStore
@@ -57,10 +57,6 @@ from .store import KIND_CONST, KIND_EQUIV, KIND_LEMMA, KnowledgeStore
 #: Facts about cones shallower than this are cheaper to re-derive than
 #: to store and replay.
 MIN_CONE_DEPTH = 2
-
-#: How many of the deepest cones get the expensive *canonical*
-#: fingerprint (permutation-invariant second-chance match) per circuit.
-CANON_ROOTS = 4
 
 #: The local re-sweep looks at changed nodes within this many levels of
 #: unchanged structure (the changed *frontier*).  An edit's fanout cone
@@ -101,9 +97,9 @@ def _depths(circuit: Circuit) -> Dict[int, int]:
 
 def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
                  result: SweepResult, min_depth: int = MIN_CONE_DEPTH,
-                 canon_roots: int = CANON_ROOTS,
                  max_lemmas: int = MAX_SEED_LEMMAS,
-                 note_seen: bool = True) -> Dict[str, int]:
+                 note_seen: bool = True,
+                 keys: Optional[Dict[int, str]] = None) -> Dict[str, int]:
     """Bank a sweep's proven facts, keyed by cone digest.
 
     ``result`` must come from sweeping ``circuit`` itself (substitutions
@@ -113,8 +109,10 @@ def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
     be re-proved anyway before being acted on.  With ``note_seen`` both
     the original and the reduced circuit's digests join the seen set
     (the reduced structure is what later queries collapse toward).
+    ``keys`` are ``cone_keys(circuit)`` when the caller already has them.
     """
-    keys = cone_keys(circuit)
+    if keys is None:
+        keys = cone_keys(circuit)
     depths = _depths(circuit)
     counts = {"consts": 0, "equivs": 0, "lemmas": 0}
     const_nodes: List[int] = []
@@ -125,7 +123,7 @@ def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
         if rep in (0, 1):
             if depths.get(node, 0) >= min_depth:
                 const_nodes.append(node)
-            continue  # banked below, with the canonical second key
+            continue  # banked below, deepest first
         # Equivalences are banked at any depth: replaying one merges two
         # whole cones structurally, which is what collapses the deep
         # cones above them back onto base digests — the step the
@@ -135,15 +133,9 @@ def absorb_sweep(store: KnowledgeStore, circuit: Circuit,
             continue
         if store.add_equiv(rep_digest, digest, bool(rep & 1)):
             counts["equivs"] += 1
-    # Constants: the deepest few also get the permutation-invariant
-    # canonical cone fingerprint (it costs a restrash per cone).
     const_nodes.sort(key=lambda n: -depths.get(n, 0))
-    for rank, node in enumerate(const_nodes):
-        canon = None
-        if rank < canon_roots:
-            canon = cone_fingerprint(circuit, 2 * node).digest
-        if store.add_const(keys[node], result.substitutions[node],
-                           canon=canon):
+    for node in const_nodes:
+        if store.add_const(keys[node], result.substitutions[node]):
             counts["consts"] += 1
     for clause in result.lemmas[:max_lemmas]:
         lits = []
@@ -308,7 +300,6 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
                         max_candidates: int = MAX_CANDIDATES,
                         max_lemmas: int = MAX_SEED_LEMMAS,
                         max_rounds: int = MAX_ROUNDS,
-                        canon_roots: int = CANON_ROOTS,
                         options: Optional[SolverOptions] = None,
                         seed: int = 1,
                         absorb: bool = True) -> PrepassOutcome:
@@ -331,6 +322,9 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
        deepest and individually hardest proofs) reduce to propagation
        and merge away.
 
+    Lookup is positional only (:func:`cone_keys`); phases 2 and 3 run
+    only when it finds a fact on the realigned circuit.
+
     Returns a :class:`PrepassOutcome` whose ``circuit`` is the reduced
     query and whose ``seed_lemmas`` are proven clauses in
     reduced-circuit literals.  With an empty store this is a single
@@ -343,6 +337,8 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
     outcome = PrepassOutcome(original=circuit, circuit=circuit)
     current = circuit
     keyed = None        # the circuit ``keys`` and ``node_of`` describe
+    facts: Dict = {}
+    evicted = False     # a fact left the store since ``facts`` was read
 
     # ------------------------------------------------------- phase 1
     for round_no in range(max_rounds):
@@ -350,6 +346,7 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
         node_of, duplicates = _index_digests(keys)
         keyed = current
         facts = store.lookup(node_of)
+        evicted = False
         if round_no == 0:
             _count_hits(outcome, facts, node_of)
 
@@ -426,6 +423,7 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
             key = pair_source.get((lo, hi, anti))
             if key is not None and store.evict(key, "refuted on replay"):
                 outcome.rejected += 1
+                evicted = True
         if not merged:
             break
         if absorb:
@@ -434,18 +432,23 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
             # warmer still.  ``note_seen=False``: a half-realigned
             # transient must not enter the seen set, or the changed
             # frontier goes dark for the next round and the next query.
-            absorb_sweep(store, current, sweep, canon_roots=0,
-                         note_seen=False)
+            absorb_sweep(store, current, sweep, note_seen=False,
+                         keys=keys)
         current = sweep.circuit
 
     # ------------------------------------------------------- phase 2
     seeds: List[List[int]] = []
-    if len(store):
+    if not len(store):
+        facts = {}
+    elif keyed is not current or evicted:
+        # Looked up again: phase 1 merged, absorbed or evicted since its
+        # last lookup.  Otherwise that lookup stands: repeating it would
+        # return the same facts and touch them in the same LRU order.
         if keyed is not current:
             keys = cone_keys(current)
             node_of, _ = _index_digests(keys)
-        # Looked up again: phase 1 may have absorbed or evicted facts.
         facts = store.lookup(node_of)
+    if facts:
         certifier = ConeCertifier(current)
         seeds = _replay_lemmas(current, facts, node_of, max_lemmas,
                                lemma_conflicts, options, store, outcome,
@@ -454,30 +457,14 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
         # --------------------------------------------------- phase 3
         const_classes: List[List[Tuple[int, int]]] = []
         const_source: Dict[Tuple[int, int], Tuple] = {}
-
-        def add_const_candidate(key, record, node):
+        for key, record in facts.items():
+            if key[0] != KIND_CONST or len(const_classes) >= max_candidates:
+                continue
+            node = node_of.get(key[1])
             value = int(record["value"])
-            if (node, value) not in const_source:
+            if node is not None and (node, value) not in const_source:
                 const_classes.append([(0, 0), (node, value)])
                 const_source[(node, value)] = key
-
-        for key, record in facts.items():
-            if key[0] == KIND_CONST and len(const_classes) < max_candidates:
-                node = node_of.get(key[1])
-                if node is not None:
-                    add_const_candidate(key, record, node)
-        # Permutation-invariant second chance: canonical fingerprints of
-        # the deepest cones not already covered by a positional match.
-        if canon_roots > 0:
-            depths = _depths(current)
-            covered = {node for node, _ in const_source}
-            deep = sorted((n for n in keys if n not in covered),
-                          key=lambda n: -depths.get(n, 0))[:canon_roots]
-            for node in deep:
-                match = store.canon_const(
-                    cone_fingerprint(current, 2 * node).digest)
-                if match is not None:
-                    add_const_candidate(match[0], match[1], node)
 
         if const_classes:
             const_classes.sort(key=lambda cls: max(n for n, _ in cls))
@@ -504,8 +491,8 @@ def incremental_prepass(circuit: Circuit, store: KnowledgeStore,
                     outcome.rejected += 1
             if sweep.merged_constants or sweep.merged_pairs:
                 if absorb:
-                    absorb_sweep(store, current, sweep, canon_roots=0,
-                                 note_seen=False)
+                    absorb_sweep(store, current, sweep, note_seen=False,
+                                 keys=keys)
                 # The seeds were proven on the pre-merge circuit; follow
                 # them through the rebuild (constants shorten or satisfy
                 # a clause; satisfied clauses drop out).

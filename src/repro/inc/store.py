@@ -7,10 +7,11 @@ transfers to queries never seen before:
     Header record; a store whose version does not match is refused
     (mirroring :mod:`repro.durable.journal` — silently misreading a
     future schema would be worse than starting cold).
-``{"kind": "const", "k": <digest>, "value": 0|1, "ck": <canon digest>}``
+``{"kind": "const", "k": <digest>, "value": 0|1}``
     The signal whose input-cone digest is ``k`` is provably constant.
-    ``ck`` (optional) is the *canonical* cone fingerprint — invariant
-    under input permutation — so a permuted twin can still match.
+    Older files may carry a ``ck`` field (a permutation-invariant cone
+    digest no build looks up any more); it is dropped on load, so the
+    next compaction writes the record without it.
 ``{"kind": "equiv", "a": <digest>, "b": <digest>, "anti": 0|1}``
     Two cones compute the same (``anti=0``) or complementary (``anti=1``)
     function of the shared primary inputs.
@@ -134,10 +135,6 @@ class KnowledgeStore:
         self._facts: "OrderedDict[FactKey, Dict[str, Any]]" = OrderedDict()
         #: positional digest -> set of fact keys mentioning it.
         self._by_digest: Dict[str, set] = {}
-        #: canonical cone digest -> const fact key (permutation-invariant
-        #: second-chance index; const facts only — a constant's value
-        #: does not depend on how the inputs are permuted).
-        self._by_canon: Dict[str, FactKey] = {}
         #: every cone digest some swept circuit has exhibited — the
         #: changed-region baseline, not a fact.
         self._seen: set = set()
@@ -152,13 +149,10 @@ class KnowledgeStore:
     # Adding facts
     # ------------------------------------------------------------------
 
-    def add_const(self, digest: str, value: int,
-                  canon: Optional[str] = None) -> bool:
+    def add_const(self, digest: str, value: int) -> bool:
         """Record "cone ``digest`` is constant ``value``"; True if new."""
-        record = {"kind": KIND_CONST, "k": digest, "value": int(value)}
-        if canon:
-            record["ck"] = canon
-        return self._add(record)
+        return self._add({"kind": KIND_CONST, "k": digest,
+                          "value": int(value)})
 
     def add_equiv(self, a: str, b: str, anti: bool) -> bool:
         """Record "cone ``a`` == cone ``b`` (xor ``anti``)"; True if new."""
@@ -181,29 +175,24 @@ class KnowledgeStore:
                 self._facts.move_to_end(key)
                 return False
             self._facts[key] = record
-            self._index(key, record)
+            self._index(key)
             while len(self._facts) > self.max_facts:
-                old_key, old_record = self._facts.popitem(last=False)
-                self._unindex(old_key, old_record)
+                self._unindex(self._facts.popitem(last=False)[0])
                 self.evictions += 1
             self._append(record)
         return True
 
-    def _index(self, key: FactKey, record: Dict[str, Any]) -> None:
+    def _index(self, key: FactKey) -> None:
         for digest in _digests_of(key):
             self._by_digest.setdefault(digest, set()).add(key)
-        if key[0] == KIND_CONST and record.get("ck"):
-            self._by_canon[record["ck"]] = key
 
-    def _unindex(self, key: FactKey, record: Dict[str, Any]) -> None:
+    def _unindex(self, key: FactKey) -> None:
         for digest in _digests_of(key):
             keys = self._by_digest.get(digest)
             if keys is not None:
                 keys.discard(key)
                 if not keys:
                     del self._by_digest[digest]
-        if key[0] == KIND_CONST and record.get("ck"):
-            self._by_canon.pop(record["ck"], None)
 
     # ------------------------------------------------------------------
     # Lookup (candidates only — the caller must re-prove every fact)
@@ -224,19 +213,6 @@ class KnowledgeStore:
                         out[key] = record
                         self._facts.move_to_end(key)
         return out
-
-    def canon_const(self, canon: str
-                    ) -> Optional[Tuple[FactKey, Dict[str, Any]]]:
-        """Constant fact matched by *canonical* cone digest, if any."""
-        with self._lock:
-            key = self._by_canon.get(canon)
-            if key is None:
-                return None
-            record = self._facts.get(key)
-            if record is None:
-                return None
-            self._facts.move_to_end(key)
-            return key, record
 
     def has_digest(self, digest: str) -> bool:
         with self._lock:
@@ -280,10 +256,9 @@ class KnowledgeStore:
         corruption or a digest collision, never in healthy operation.
         """
         with self._lock:
-            record = self._facts.pop(key, None)
-            if record is None:
+            if self._facts.pop(key, None) is None:
                 return False
-            self._unindex(key, record)
+            self._unindex(key)
             self.rejected += 1
         registry = default_registry()
         if registry is not None:
@@ -341,11 +316,11 @@ class KnowledgeStore:
                 if key in self._facts:
                     self._facts.move_to_end(key)
                     continue
+                record.pop("ck", None)
                 self._facts[key] = record
-                self._index(key, record)
+                self._index(key)
         while len(self._facts) > self.max_facts:
-            old_key, old_record = self._facts.popitem(last=False)
-            self._unindex(old_key, old_record)
+            self._unindex(self._facts.popitem(last=False)[0])
             self.evictions += 1
 
     def _open(self):

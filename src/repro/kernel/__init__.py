@@ -1,23 +1,18 @@
 """Flat-array CDCL kernel (the ``kernel`` backend/preset).
 
 Layout and rationale are documented in ``docs/internals.md``; in short:
-int32 arenas instead of per-clause objects, index-linked watch lists,
-preallocated trail ring, and an optional numpy word-parallel simulation
-path (:mod:`repro.kernel.simd`).  The legacy engines remain the
-differential oracle — see ``tests/test_kernel_differential.py``.
+int32 arenas instead of per-clause objects, index-linked watch lists and
+a preallocated trail ring.  The legacy engines remain the differential
+oracle — see ``tests/test_kernel_differential.py``.
 """
 
 from .circuit import KernelEngine
 from .cnf import FlatCnfSolver, solve_formula_flat
 from .flat import FlatSolver
-from .simd import HAVE_NUMPY, find_correlations_wide, simulate_lanes
 
 __all__ = [
     "FlatSolver",
     "FlatCnfSolver",
     "KernelEngine",
     "solve_formula_flat",
-    "HAVE_NUMPY",
-    "find_correlations_wide",
-    "simulate_lanes",
 ]

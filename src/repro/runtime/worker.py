@@ -422,9 +422,12 @@ def _safe_send(conn, message: Tuple[str, Optional[dict]]) -> bool:
         return False  # parent gone or allocation failed: parent sees LOST
 
 
-def _default_sigterm() -> None:
+def _default_signals() -> None:
+    """SIGTERM kills; SIGINT raises KeyboardInterrupt, which the engines
+    turn into UNKNOWN."""
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     except (ValueError, OSError):
         pass  # non-main thread or unsupported platform
 
@@ -433,14 +436,16 @@ def run_worker(conn, job: WorkerJob, jobs=None) -> None:
     """Child-process entry point: run ``job``, then every job the owner
     sends over ``jobs`` while each one answers cleanly."""
     parent = os.getppid()
-    # The parent's handlers (a server's graceful-drain hook) must not
-    # turn the watchdog's SIGTERM into anything but a death.
-    _default_sigterm()
+    # The parent's handlers (a server's graceful-drain hook, installed
+    # for SIGTERM and SIGINT) must not run in here: the watchdog's
+    # SIGTERM means death, and a Ctrl-C on the terminal reaches every
+    # worker in the process group.
+    _default_signals()
     try:
         while job is not None and _run_job(conn, job):
             # Drop the job's salvage handler before idling: a SIGTERM
             # now kills a worker with nothing left to flush.
-            _default_sigterm()
+            _default_signals()
             job = _next_job(jobs, parent)
     finally:
         try:
@@ -454,6 +459,7 @@ def _next_job(jobs, parent: int) -> Optional[WorkerJob]:
 
     EOF alone cannot signal a dead owner (workers forked later inherit
     each other's pipe ends), so the wait also watches the parent pid.
+    An idle worker interrupted by SIGINT retires quietly.
     """
     if jobs is None:
         return None
@@ -461,7 +467,7 @@ def _next_job(jobs, parent: int) -> Optional[WorkerJob]:
         try:
             if jobs.poll(0.25):
                 return jobs.recv()
-        except (EOFError, OSError):
+        except (EOFError, OSError, KeyboardInterrupt):
             return None
     return None
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit, PI
-from ..circuit.topo import extract_cone, restrash
+from ..circuit.topo import restrash
 
 _MASK = (1 << 64) - 1
 _PI_SEED = 0x9E3779B97F4A7C15
@@ -271,8 +271,8 @@ def cone_keys(circuit: Circuit, min_depth: int = 1) -> Dict[int, str]:
     hash becomes a digest of its entire input-side cone *relative to the
     PI positions it reads* — invariant under wire renaming, gate creation
     order, and AND commutation, but deliberately **not** under PI
-    permutation (one pass covers every node; the permutation-invariant
-    key is :func:`cone_fingerprint`, which costs a restrash per cone).
+    permutation: one pass covers every node, where a permutation-invariant
+    key would cost a canonical rebuild per cone.
 
     Keys are 64-bit mix hashes, not cryptographic digests: a collision
     can propose a wrong candidate but never a wrong answer, because the
@@ -295,26 +295,6 @@ def cone_keys(circuit: Circuit, min_depth: int = 1) -> Dict[int, str]:
         if d >= min_depth:
             keys[n] = "{:016x}".format(fwd[n])
     return keys
-
-
-def cone_fingerprint(circuit: Circuit, root_lit: int) -> Fingerprint:
-    """Exact canonical fingerprint of one internal signal's output cone.
-
-    The cone rooted at ``root_lit`` is extracted as a standalone
-    sub-circuit (cone PIs become its primary inputs) and fingerprinted
-    with the full canonical pipeline, so the digest is invariant under
-    input permutation as well as renaming/commutation/gate order.  The
-    returned ``input_nodes`` are mapped back to **original-circuit** node
-    ids in canonical order — the piece that carries a store hit back
-    through the input permutation: position ``i`` of two matching cones'
-    ``input_nodes`` name corresponding signals in their host circuits.
-    """
-    sub, node_map = extract_cone(circuit, [root_lit],
-                                 name=circuit.name + ".cone")
-    original_of = {lit >> 1: orig for orig, lit in node_map.items()}
-    fp = fingerprint(sub)
-    fp.input_nodes = [original_of[pi] for pi in fp.input_nodes]
-    return fp
 
 
 def model_to_bits(fp: Fingerprint, model: Optional[Dict[int, bool]]

@@ -11,21 +11,25 @@ scheduler integration (sweep-as-a-service plus the solve pre-pass).
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 from repro import Circuit
 from repro.circuit.miter import miter
 from repro.circuit.netlist import lit_not
+from repro.circuit.topo import extract_cone
 from repro.core.sweep import sat_sweep
 from repro.csat.engine import CSatEngine
 from repro.csat.options import SolverOptions
 from repro.inc import (ConeCertifier, KnowledgeStore, StoreError,
                        absorb_sweep, incremental_prepass, mutate_circuit)
 from repro.inc.bench import tamper_store_file
+from repro.inc.certify import MAX_EXHAUSTIVE_INPUTS
 from repro.result import UNSAT
 from repro.serve.fingerprint import cone_keys
 from repro.sim import circuits_equivalent_exhaustive
+from repro.sim.bitsim import exhaustive_input_words, simulate_words
 from conftest import build_full_adder, build_random_circuit
 
 
@@ -80,8 +84,8 @@ class TestConeKeys:
 
     def test_not_invariant_under_pi_permutation(self):
         # Positional seeding is deliberate: swapping which PI feeds which
-        # leg changes the digest (the permutation-invariant key is the
-        # per-cone fingerprint, which is much more expensive).
+        # leg changes the digest (a permutation-invariant key would cost a
+        # canonical rebuild per cone).
         c = Circuit(strash=False)
         a, b = c.add_input("a"), c.add_input("b")
         c.add_output(c.add_and(a, lit_not(b)), "y")
@@ -172,6 +176,34 @@ class TestKnowledgeStore:
         assert not again.lookup(["d1"])
         assert again.lookup(["d2"])
 
+    def test_v1_const_records_with_ck_load(self, tmp_path):
+        # Older builds stored a canonical cone digest ``ck`` next to some
+        # constants.  Such a file loads, its facts still match by
+        # positional digest, and compaction writes them without ``ck``.
+        path = str(tmp_path / "s.jsonl")
+        records = [{"kind": "inc-store", "v": 1},
+                   {"kind": "const", "k": "d1", "value": 1,
+                    "ck": "0123456789abcdef0123456789abcdef"},
+                   {"kind": "const", "k": "d2", "value": 0},
+                   {"kind": "equiv", "a": "d3", "b": "d4", "anti": 0}]
+        with open(path, "w") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        store = KnowledgeStore(path)
+        assert len(store) == 3 and store.malformed == 0
+        facts = store.lookup(["d1", "d2"])
+        assert facts == {("const", "d1"): {"kind": "const", "k": "d1",
+                                           "value": 1},
+                         ("const", "d2"): {"kind": "const", "k": "d2",
+                                           "value": 0}}
+        store.compact()
+        store.close()
+        with open(path) as fh:
+            stored = [json.loads(line) for line in fh]
+        assert stored[0] == {"kind": "inc-store", "v": 1}
+        assert all("ck" not in record for record in stored)
+        assert {"kind": "const", "k": "d1", "value": 1} in stored
+        assert len(KnowledgeStore(path)) == 3
+
     def test_compact_preserves_facts(self, tmp_path):
         path = str(tmp_path / "s.jsonl")
         store = KnowledgeStore(path)
@@ -242,6 +274,99 @@ class TestConeCertifier:
             assert cert.clause(lits) is expected
 
 
+class ReferenceCertifier:
+    """The certifier as it was before it evaluated cones in place: copy
+    the cone out with ``extract_cone`` and simulate the copy."""
+
+    def __init__(self, circuit, max_inputs=MAX_EXHAUSTIVE_INPUTS):
+        self.circuit = circuit
+        self.max_inputs = max_inputs
+
+    def tables(self, roots):
+        sub, node_map = extract_cone(self.circuit, [2 * n for n in roots])
+        k = sub.num_inputs
+        if k > self.max_inputs:
+            return None
+        width = 1 << k
+        vals = simulate_words(sub, exhaustive_input_words(k), width)
+        mask = (1 << width) - 1
+        tables = {}
+        for node in roots:
+            lit = node_map[node]
+            tables[node] = vals[lit >> 1] ^ (mask if lit & 1 else 0)
+        return tables, mask
+
+    def clause(self, lits):
+        if any(lit == 1 for lit in lits):
+            return True
+        lits = [lit for lit in lits if lit >> 1]
+        if not lits:
+            return False
+        entry = self.tables(tuple(sorted({lit >> 1 for lit in lits})))
+        if entry is None:
+            return None
+        tables, mask = entry
+        word = 0
+        for lit in lits:
+            word |= tables[lit >> 1] ^ (mask if lit & 1 else 0)
+        return word == mask
+
+
+def wide_random_circuit(seed, num_inputs, num_gates):
+    """Random gates over ``num_inputs`` inputs plus one root whose cone
+    reads every input; returns (circuit, literals incl. constants, root)."""
+    rng = random.Random(seed)
+    c = Circuit(strash=False)
+    lits = [c.add_input("i{}".format(k)) for k in range(num_inputs)]
+    for _ in range(num_gates):
+        lits.append(c.add_and(rng.choice(lits) ^ rng.randrange(2),
+                              rng.choice(lits) ^ rng.randrange(2)))
+    layer = lits[:num_inputs]
+    while len(layer) > 1:
+        layer = [c.add_and(layer[i], layer[i + 1] ^ 1)
+                 if i + 1 < len(layer) else layer[i]
+                 for i in range(0, len(layer), 2)]
+    c.add_output(layer[0], "y")
+    return c, lits + [0, 1], layer[0]
+
+
+class TestInPlaceCertifier:
+    """The in-place certifier against :class:`ReferenceCertifier`."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_random_roots(self, seed):
+        c, lits, _ = wide_random_circuit(seed + 500, num_inputs=9,
+                                         num_gates=60)
+        cert, ref = ConeCertifier(c), ReferenceCertifier(c)
+        rng = random.Random(seed)
+        for _ in range(40):
+            clause = [rng.choice(lits) ^ rng.randrange(2)
+                      for _ in range(rng.randrange(1, 4))]
+            roots = tuple(sorted({lit >> 1 for lit in clause} - {0}))
+            if roots:
+                assert cert._tables(roots) == ref.tables(roots)
+            assert cert.clause(clause) is ref.clause(clause)
+
+    @pytest.mark.parametrize("num_inputs", [14, 15])
+    def test_width_limit_matches_reference(self, num_inputs):
+        c, lits, root = wide_random_circuit(num_inputs, num_inputs,
+                                            num_gates=40)
+        node = root >> 1
+        assert sum(1 for n in c.cone([root]) if c.is_input(n)) \
+            == num_inputs
+        rng = random.Random(num_inputs)
+        clauses = [[root], [lit_not(root)], [root, 0], [root, 1]] + [
+            [root, rng.choice(lits) ^ rng.randrange(2)] for _ in range(6)]
+        for max_inputs in (MAX_EXHAUSTIVE_INPUTS, 15):
+            cert = ConeCertifier(c, max_inputs=max_inputs)
+            ref = ReferenceCertifier(c, max_inputs=max_inputs)
+            assert cert._tables((node,)) == ref.tables((node,))
+            wide = num_inputs > max_inputs
+            assert (cert._tables((node,)) is None) is wide
+            for clause in clauses:
+                assert cert.clause(clause) is ref.clause(clause)
+
+
 # ----------------------------------------------------------------------
 # Seeded mutation
 # ----------------------------------------------------------------------
@@ -292,16 +417,16 @@ class TestIncrementalPrepass:
         assert outcome.rejected == 0
         assert solve_outputs_true(outcome.circuit,
                                   outcome.seed_lemmas).status == UNSAT
-        # Phase 2 reuses the cone keys of phase 1's last round when the
-        # circuit did not change since; the pre-pass must stay exact:
-        # SHA-1 of (summary, seed lemmas, store facts in LRU order),
-        # recorded with the keys recomputed for phase 2.
+        # Phase 2 reuses the cone keys and the lookup of phase 1's last
+        # round when neither the circuit nor the store changed since; the
+        # pre-pass must stay exact: SHA-1 of (summary, seed lemmas, store
+        # facts in LRU order).
         summary = dict(outcome.as_dict())
         summary.pop("seconds")
         state = repr((sorted(summary.items()), outcome.seed_lemmas,
                       list(store._facts.items())))
         assert hashlib.sha1(state.encode()).hexdigest() \
-            == "ca8f52dc1e93429323207632bbd067531f44bf63"
+            == "4276bd4bfb1a4f030d7a85ae4ee6957b94c6e594"
 
     def test_prepass_preserves_function(self, tmp_path):
         base = small_miter()

@@ -9,12 +9,17 @@ re-pin the table only when the change is deliberate.
 
 The pins below were produced by solving each instance once; the slow
 tier re-solves and compares, and a quick sample guards every push.
-The scan stand-ins are excluded: their builder runs the rewriter, whose
-iteration order varies with ``PYTHONHASHSEED``, so the *instance* is not
-reproducible across processes even though the solver is.
+The pins only mean something if the *instances* are reproducible too:
+:func:`test_catalog_independent_of_hash_seed` builds the whole catalog
+under two ``PYTHONHASHSEED`` values and compares fingerprints.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -33,10 +38,13 @@ PINNED = [
     ("c1908.equiv", "UNSAT", 2432, 4788, 173517),
     ("9vliw001", "SAT", 580, 734, 136251),
     ("9vliw004", "SAT", 195, 289, 44224),
+    ("s13207.scan.equiv", "UNSAT", 173, 689, 12489),
+    ("s15850.scan.equiv", "UNSAT", 234, 1021, 22691),
 ]
 
 #: Fast subset run in tier-1 (the rest ride the slow tier).
-QUICK = {"c2670.equiv", "c5315.equiv", "c3540.opt"}
+QUICK = {"c2670.equiv", "c5315.equiv", "c3540.opt", "s13207.scan.equiv",
+         "s15850.scan.equiv"}
 
 
 def _solve(name: str):
@@ -75,3 +83,30 @@ def test_kernel_repeat_solves_are_identical():
     b = _solve("c2670.equiv")
     assert (a.stats.conflicts, a.stats.decisions, a.stats.propagations) \
         == (b.stats.conflicts, b.stats.decisions, b.stats.propagations)
+
+
+_FINGERPRINT_CATALOG = """
+import json
+from repro.bench.instances import all_instances
+from repro.serve.fingerprint import fingerprint
+print(json.dumps({inst.name: fingerprint(inst.build()).digest
+                  for inst in all_instances()}))
+"""
+
+
+def test_catalog_independent_of_hash_seed():
+    """Every catalog instance builds identically in fresh processes
+    whatever their string-hash salt (generators must not seed from
+    ``hash()`` or iterate over hash-ordered sets)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _FINGERPRINT_CATALOG],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True).stdout
+        digests.append(json.loads(out))
+    first, second = digests
+    assert first and first == second, sorted(
+        name for name in first if first[name] != second.get(name))

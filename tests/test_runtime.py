@@ -201,6 +201,31 @@ class TestFaultMatrix:
         assert outcome.failure.kind == TIMEOUT
         assert elapsed < wall + grace / 2
 
+    def test_owner_sigint_handler_not_inherited(self, full_adder,
+                                                tmp_path):
+        # A server installs its drain hook for SIGINT too, and a Ctrl-C
+        # on the terminal reaches every worker in the process group.  A
+        # worker must not run the owner's hook: an idle one retires.
+        marker = tmp_path / "hook-ran"
+
+        def hook(signum, frame):
+            marker.write_text(str(os.getpid()))
+
+        previous = signal.signal(signal.SIGINT, hook)
+        slot = WorkerSlot()
+        try:
+            # After one answered job the worker has set its own handlers.
+            assert slot.run(job_for(full_adder), wall_seconds=30).ok
+            proc = slot.handle.proc
+            os.kill(proc.pid, signal.SIGINT)
+            proc.join(10)
+            exitcode = proc.exitcode
+        finally:
+            slot.close()
+            signal.signal(signal.SIGINT, previous)
+        assert exitcode == 0
+        assert not marker.exists()
+
     def test_corrupt_model_caught_by_sat_certification(self, full_adder):
         outcome = run_supervised(job_for(full_adder, fault="corrupt"),
                                  wall_seconds=30, certify="sat")
